@@ -82,7 +82,13 @@ def read_csv_matrix(path: str) -> np.ndarray:
                     f"{path} row {start + i + 1}, column {j + 1}: cannot parse {cell!r}",
                 )
         data.append(parsed)
-    return np.array(data)
+    matrix = np.array(data)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise CliError(EXIT_INPUT, f"{path} row {start + i + 1}, column {j + 1}: "
+                                   f"non-finite value {rows[i][j]!r}")
+    return matrix
 
 
 def parse_selection(spec: str | None) -> RowSelection | None:
@@ -142,13 +148,7 @@ def emit(args, payload: dict) -> None:
 
 def cmd_qr(args) -> None:
     X = read_csv_matrix(args.input)
-    policy = parse_policy(args.policy, args.signs)
-    try:
-        qr = householder_qr(X, policy)
-    except RankDeficiencyError as exc:
-        raise CliError(EXIT_RANK, str(exc))
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    qr = householder_qr(X, parse_policy(args.policy, args.signs))
     emit(args, {
         "T": qr.T.tolist(),
         "reflector_norms": [float(np.sqrt(w)) for w in qr.vnorm2],
@@ -156,21 +156,12 @@ def cmd_qr(args) -> None:
     })
 
 
-def _design_and_response(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if data.shape[1] == 1:
-        return np.ones((data.shape[0], 1)), data[:, 0]
-    return data[:, :-1], data[:, -1]
-
-
 def cmd_residuals(args) -> None:
     data = read_csv_matrix(args.input)
-    X, Y = _design_and_response(data)
-    try:
-        fit = fit_least_squares(X, Y)
-    except RankDeficiencyError as exc:
-        raise CliError(EXIT_RANK, str(exc))
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    if data.shape[1] == 1:  # Y alone: fit the mean
+        fit = fit_least_squares(np.ones((data.shape[0], 1)), data[:, 0])
+    else:
+        fit = fit_least_squares(data[:, :-1], data[:, -1])
     emit(args, {
         "beta_hat": fit.beta_hat.tolist(),
         "R": fit.residuals.tolist(),
@@ -181,37 +172,31 @@ def cmd_residuals(args) -> None:
 def cmd_indep(args) -> None:
     data = read_csv_matrix(args.input)
     ncols = data.shape[1]
-    try:
-        if args.mode == "student":
-            if ncols != 1:
-                raise CliError(EXIT_INPUT, f"student mode needs a 1-column file, got {ncols}")
-            Y = data[:, 0]
-            rss = float(np.sum((Y - Y.mean()) ** 2))
-            result = student_w(Y, args.variant or "minus")
-        elif args.mode == "univariate":
-            if ncols != 2:
-                raise CliError(EXIT_INPUT, f"univariate mode needs a 2-column file, got {ncols}")
-            t = standardize_predictor(data[:, 0])
-            Y = data[:, 1]
-            fit = fit_least_squares(np.column_stack([np.ones(len(Y)), t.t]), Y)
-            rss = fit.rss
-            result = univariate_w(t, Y, args.variant or "b")
-        else:
-            if ncols < 2:
-                raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
-            X, Y = data[:, :-1], data[:, -1]
-            sel = parse_selection(args.rows)
-            fit = fit_least_squares(X, Y)
-            rss = fit.rss
-            qr = qr_for_selection(X, sel)
-            sp = s_from_qr(qr, X, sel)
-            result = independent_residuals(fit, sp, sel)
-    except RankDeficiencyError as exc:
-        raise CliError(EXIT_RANK, str(exc))
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    if args.mode == "student":
+        if ncols != 1:
+            raise CliError(EXIT_INPUT, f"student mode needs a 1-column file, got {ncols}")
+        Y = data[:, 0]
+        rss = float(np.sum((Y - Y.mean()) ** 2))
+        result = student_w(Y, args.variant or "minus")
+    elif args.mode == "univariate":
+        if ncols != 2:
+            raise CliError(EXIT_INPUT, f"univariate mode needs a 2-column file, got {ncols}")
+        t = standardize_predictor(data[:, 0])
+        Y = data[:, 1]
+        rss = fit_least_squares(np.column_stack([np.ones(len(Y)), t.t]), Y).rss
+        result = univariate_w(t, Y, args.variant or "b")
+    else:
+        if ncols < 2:
+            raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
+        X, Y = data[:, :-1], data[:, -1]
+        sel = parse_selection(args.rows)
+        fit = fit_least_squares(X, Y)
+        rss = fit.rss
+        sp = s_from_qr(qr_for_selection(X, sel), X, sel)
+        result = independent_residuals(fit, sp, sel)
     wss = float(result.W @ result.W)
-    if rss > 0.0 and abs(wss - rss) / rss >= args.tol:
+    rel_err = abs(wss - rss) / rss if rss != 0.0 else abs(wss)
+    if not rel_err < args.tol:  # NaN fails too
         raise CliError(EXIT_IDENTITY,
                        f"sum-of-squares identity violated: wss={wss!r}, rss={rss!r}")
     emit(args, {
@@ -224,18 +209,14 @@ def cmd_indep(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    try:
-        cfg = SimulationConfig(
-            n=args.n, p=args.p,
-            beta=np.zeros(args.p) if args.beta is None
-            else np.array([float(s) for s in args.beta.split(",")]),
-            sigma=args.sigma, replicates=args.reps,
-            seed=resolve_seed(args), construction=args.construction,
-        )
-        report = monte_carlo(cfg)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
-    emit(args, report.to_dict())
+    cfg = SimulationConfig(
+        n=args.n, p=args.p,
+        beta=np.zeros(args.p) if args.beta is None
+        else np.array([float(s) for s in args.beta.split(",")]),
+        sigma=args.sigma, replicates=args.reps,
+        seed=resolve_seed(args), construction=args.construction,
+    )
+    emit(args, monte_carlo(cfg).to_dict())
 
 
 def cmd_check(args) -> None:
@@ -248,6 +229,8 @@ def cmd_check(args) -> None:
         n_grid = [int(s) for s in args.n_grid.split(",")]
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"bad --n-grid: {exc}")
+    if min(n_grid) < 2:
+        raise CliError(EXIT_INPUT, f"--n-grid entries must be at least 2, got {min(n_grid)}")
 
     oracle_errors = {}
     for n in n_grid:
@@ -314,12 +297,8 @@ def cmd_check(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    try:
-        n_grid = [int(s) for s in args.n_grid.split(",")]
-        rows = benchmark_apply(n_grid, args.p, args.repeats)
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError(EXIT_INPUT, str(exc))
-    emit(args, {"timings": rows})
+    n_grid = [int(s) for s in args.n_grid.split(",")]
+    emit(args, {"timings": benchmark_apply(n_grid, args.p, args.repeats)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing comparison of the three apply routes")
     p.add_argument("--n-grid", default="1000,4000,16000")
     p.add_argument("--p", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=int, default=3,
+                   help="timed samples per method and n, after one warm-up call; each "
+                        "sample loops for at least 1 ms and the median is reported")
     common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -393,9 +374,17 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    return 0
+        code, message = exc.code, str(exc)
+    except RankDeficiencyError as exc:
+        code, message = EXIT_RANK, str(exc)
+    except ValueError as exc:  # input the library rejected; LinAlgError is one
+        code, message = EXIT_INPUT, str(exc)
+    except ArithmeticError as exc:  # an internal identity check failed
+        code, message = EXIT_IDENTITY, str(exc)
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

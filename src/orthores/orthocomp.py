@@ -8,7 +8,7 @@ rank-one-update recursion covers the singular cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,18 @@ class RowSelection:
     def first(cls, p: int) -> "RowSelection":
         return cls(tuple(range(p)))
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Row order putting the selected rows first, the rest in increasing order."""
+    def rows(self, n: int) -> np.ndarray:
+        """The selected row indices as an index array, checked against n."""
         if self.indices and self.indices[-1] >= n:
             raise ValueError(f"row index {self.indices[-1]} out of range for n={n}")
-        chosen = set(self.indices)
-        rest = [i for i in range(n) if i not in chosen]
-        return np.array(list(self.indices) + rest, dtype=np.intp)
+        return np.array(self.indices, dtype=np.intp)
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Row order putting the selected rows first, the rest in increasing order."""
+        idx = self.rows(n)
+        keep = np.ones(n, dtype=bool)
+        keep[idx] = False
+        return np.concatenate([idx, np.flatnonzero(keep)])
 
 
 def _selection(sel: RowSelection | None, p: int) -> RowSelection:
@@ -60,6 +65,19 @@ def _selection(sel: RowSelection | None, p: int) -> RowSelection:
     if len(sel.indices) != p:
         raise ValueError(f"selection has {len(sel.indices)} rows, need p={p}")
     return sel
+
+
+def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
+             sel: RowSelection) -> tuple[np.ndarray, np.ndarray]:
+    """v = S x^(p) and x_(p) + X_(p) v for a vector or an n x m block x,
+    without permuting or gathering the n rows of X."""
+    p = S.shape[0]
+    idx = sel.rows(X.shape[0])
+    if idx[-1] == p - 1:  # increasing indices, so rows 0..p-1: slices suffice
+        v = S @ x[:p]
+        return v, x[p:] + X[p:] @ v
+    v = S @ x[idx]
+    return v, np.delete(x + X @ v, idx, axis=0)  # every row, then drop the p selected
 
 
 @dataclass(frozen=True)
@@ -111,10 +129,9 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
     sel = _selection(sel, p)
-    head = X[sel.permutation(n)][:p]
+    head = X[sel.rows(n)]
     M = qr.T - head
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_SV_TOL * sv[0]:
+    if _svd_rank(M) < p:
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     S = np.linalg.solve(M, np.eye(p))
     return SProjector(p=p, S=S, rank=p, normalizer=qr.T.copy(), source="from-t")
@@ -132,7 +149,7 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
     n, p = X.shape
     _check_orthonormal(X)
     sel = _selection(sel, p)
-    head = X[sel.permutation(n)][:p]
+    head = X[sel.rows(n)]
 
     S = np.zeros((0, 0))
     rank = 0
@@ -163,8 +180,7 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     n, p = X.shape
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
-    sv = np.linalg.svd(C, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_SV_TOL * sv[0]:
+    if _svd_rank(C) < p:
         raise SingularMatrixError("C is singular")
     Xt = np.linalg.solve(C.T, X.T).T
     _check_orthonormal(Xt)
@@ -186,7 +202,7 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
     sel = _selection(sel, p)
-    head = X[sel.permutation(n)][:p]
+    head = X[sel.rows(n)]
     M = np.linalg.solve(C.T, head.T).T  # X^(p) C^-1
 
     d = np.zeros(p)
@@ -229,10 +245,7 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
         err = float(np.max(np.abs(X.T @ x)))
         if err >= ORTHO_TOL * xnorm:
             raise ValueError(f"x is not orthogonal to col(X) (|X^T x| = {err:.3e})")
-    perm = sel.permutation(n)
-    xp = x[perm]
-    Xp = X[perm]
-    return xp[p:] + Xp[p:] @ (sp.S @ xp[:p])
+    return _apply_s(sp.S, X, x, sel)[1]
 
 
 def rank_count(qr: HouseholderQR, X) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import STANDARD, HouseholderQR, apply_Qt, as_matrix, as_vector, householder_qr
-from .orthocomp import RowSelection, SProjector, _selection
+from .orthocomp import RowSelection, SProjector, _apply_s, _selection
 
 XTR_TOL = 1e-8
 
@@ -81,15 +81,11 @@ def independent_residuals(fit: RegressionFit, sp: SProjector,
                           sel: RowSelection | None = None) -> IndependentResiduals:
     """W = R_(p) + X_(p) v with v = S R^(p), for a projector built from
     the same X and row selection."""
-    n, p = fit.X.shape
+    p = fit.X.shape[1]
     if sp.p != p:
         raise ValueError("projector size does not match the fit")
     sel = _selection(sel, p)
-    perm = sel.permutation(n)
-    Rp = fit.residuals[perm]
-    Xp = fit.X[perm]
-    v = sp.S @ Rp[:p]
-    W = Rp[p:] + Xp[p:] @ v
+    v, W = _apply_s(sp.S, fit.X, fit.residuals, sel)
     return IndependentResiduals(W=W, v=v, beta_star=fit.beta_hat - v, selection=sel)
 
 

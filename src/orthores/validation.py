@@ -8,18 +8,21 @@ claims.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import statistics
+import timeit
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import STANDARD, apply_Qt, as_matrix, explicit_orthocomplement_basis, householder_qr
-from .orthocomp import RowSelection, SProjector, _selection, orthocomplement_apply, s_from_qr
+from .orthocomp import (RowSelection, _apply_s, _selection, _svd_rank, orthocomplement_apply,
+                        s_from_qr)
 from .regression import student_w, univariate_coefficients
 
-RANK_SV_TOL = 1e-10
 IDEMPOTENT_TOL = 1e-10
 CONDITION_TOL = 1e-9
+
+MIN_SAMPLE_S = 1e-3  # shortest timing sample; faster calls are looped
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,10 @@ def verify_theorem7_condition(S, Xortho, sel: RowSelection | None = None) -> boo
     """Check S^T (I_p - X^(p)T X^(p)) S - X^(p) S - S^T X^(p)T = I_p."""
     S = as_matrix(S)
     X = as_matrix(Xortho)
-    n, p = X.shape
+    p = X.shape[1]
     if S.shape != (p, p):
         raise ValueError(f"S must be {p}x{p}, got {S.shape}")
-    sel = _selection(sel, p)
-    head = X[sel.permutation(n)][:p]
+    head = X[np.asarray(_selection(sel, p).indices)]
     lhs = S.T @ (np.eye(p) - head.T @ head) @ S - head @ S - S.T @ head.T
     return float(np.max(np.abs(lhs - np.eye(p)))) < CONDITION_TOL
 
@@ -135,12 +137,7 @@ def idempotent_check(B) -> bool:
     if float(np.max(np.abs(B - B.T))) >= IDEMPOTENT_TOL * max(1.0, float(np.max(np.abs(B)))):
         raise ValueError("matrix must be symmetric")
     is_idem = float(np.max(np.abs(B @ B - B))) < IDEMPOTENT_TOL
-
-    def rank(M):
-        sv = np.linalg.svd(M, compute_uv=False)
-        return 0 if sv[0] == 0.0 else int(np.sum(sv > RANK_SV_TOL * sv[0]))
-
-    rank_sum_matches = rank(B) + rank(np.eye(n) - B) == n
+    rank_sum_matches = _svd_rank(B) + _svd_rank(np.eye(n) - B) == n
     if is_idem != rank_sum_matches:
         raise ArithmeticError(
             f"idempotency criteria disagree: B^2=B is {is_idem}, "
@@ -200,18 +197,13 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     annihilator = np.eye(n) - hat
 
     if cfg.construction == "generic":
-        qr = householder_qr(X, STANDARD)
-        sp = s_from_qr(qr, X)
-        w_map = np.hstack([X[p:] @ sp.S, np.eye(n - p)])  # acts on permuted-order R
+        S = s_from_qr(householder_qr(X, STANDARD), X).S
     elif cfg.construction in ("student-minus", "student-plus"):
         rn = np.sqrt(n)
         c = -1.0 / (rn + 1.0) if cfg.construction.endswith("minus") else 1.0 / (rn - 1.0)
-        w_map = np.hstack([np.full((n - 1, 1), c), np.eye(n - 1)])
+        S = np.array([[c]])
     else:
-        t = X[:, 1]
-        AB = univariate_coefficients(t, n, cfg.construction[-1])
-        coupling = np.column_stack([np.ones(n - 2), t[2:]]) @ AB
-        w_map = np.hstack([coupling, np.eye(n - 2)])
+        S = univariate_coefficients(X[:, 1], n, cfg.construction[-1])
 
     rng = np.random.default_rng(cfg.seed)
     mean_signal = X @ cfg.beta
@@ -230,7 +222,7 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
         m = min(batch, reps - done)
         Y = mean_signal[:, None] + cfg.sigma * rng.standard_normal((n, m))
         R = annihilator @ Y
-        W = w_map @ R
+        W = _apply_s(S, X, R, RowSelection.first(p))[1]
         rss = np.einsum("ij,ij->j", R, R)
         wss = np.einsum("ij,ij->j", W, W)
         max_err = max(max_err, float(np.max(np.abs(wss - rss) / rss)))
@@ -260,13 +252,31 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     )
 
 
+def _apply_routes(n: int, p: int, seed: int) -> tuple[np.ndarray, dict]:
+    """A vector x perpendicular to a random n x p design, and the three
+    routes to U2^T x as calls without arguments."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    qr = householder_qr(X, STANDARD)
+    sp = s_from_qr(qr, X)
+    x = random_orthocomplement_vector(X, rng)
+    U2 = explicit_orthocomplement_basis(qr)
+    return x, {
+        "explicit": lambda: U2.T @ x,
+        "reflect": lambda: apply_Qt(qr, x)[p:],
+        "closed": lambda: orthocomplement_apply(sp, X, x),
+    }
+
+
 def benchmark_apply(n_grid: list[int], p: int, repeats: int,
                     agreement_tol: float = 1e-10) -> list[dict]:
-    """Time the three routes to U2^T x and check they agree on the fly.
+    """Time the three routes to U2^T x and check they agree.
 
     Methods: "explicit" multiplies by the materialized basis (O(n^2)),
     "reflect" applies the reflection sequence (O(np)), "closed" uses the
-    S-matrix formula (O(np)).  Returns one row per (method, n).
+    S-matrix formula (O(np)).  ``seconds`` is the median per-call time of
+    ``repeats`` samples, each looping the call for at least MIN_SAMPLE_S
+    after one untimed call.  Returns one row per (method, n).
     """
     if list(n_grid) != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
         raise ValueError("n_grid must be strictly ascending")
@@ -275,40 +285,31 @@ def benchmark_apply(n_grid: list[int], p: int, repeats: int,
     if p >= min(n_grid):
         raise ValueError("need p < min(n_grid)")
 
-    rows = []
+    timers = {}
     for idx, n in enumerate(n_grid):
-        rng = np.random.default_rng(1000 + idx)
-        X = rng.standard_normal((n, p))
-        qr = householder_qr(X, STANDARD)
-        sp = s_from_qr(qr, X)
-        x = random_orthocomplement_vector(X, rng)
-        U2 = explicit_orthocomplement_basis(qr)
-
-        results = {}
-        timings = {}
-        for method in ("explicit", "reflect", "closed"):
-            best = np.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                if method == "explicit":
-                    out = U2.T @ x
-                elif method == "reflect":
-                    out = apply_Qt(qr, x)[p:]
-                else:
-                    out = orthocomplement_apply(sp, X, x)
-                best = min(best, time.perf_counter() - start)
-            results[method] = out
-            timings[method] = best
-        del U2
-
-        ref = results["explicit"]
+        x, routes = _apply_routes(n, p, 1000 + idx)
+        results = {method: call() for method, call in routes.items()}  # warm-up
         scale = max(1.0, float(np.linalg.norm(x)))
         for method in ("reflect", "closed"):
-            err = float(np.max(np.abs(results[method] - ref)))
+            err = float(np.max(np.abs(results[method] - results["explicit"])))
             if err >= agreement_tol * scale:
                 raise ArithmeticError(
                     f"method {method} disagrees with the explicit basis at n={n}: {err:.3e}"
                 )
-        for method, secs in timings.items():
-            rows.append({"method": method, "n": n, "seconds": secs})
-    return rows
+        for method, call in routes.items():
+            timer = timeit.Timer(call)
+            number = 1
+            while timer.timeit(number) < MIN_SAMPLE_S:
+                number *= 2
+            timers[method, n] = (timer, number)
+
+    # Sampling starts once every input is built and goes in rounds over all
+    # (method, n): a slow spell of the machine (two-thread BLAS calls on a
+    # 2-core VM stalled ~8 ms each for up to a second after it idled) then
+    # falls on the set-up or on one sample of each, not on every sample of one.
+    samples = {key: [] for key in timers}
+    for _ in range(repeats):
+        for key, (timer, number) in timers.items():
+            samples[key].append(timer.timeit(number) / number)
+    return [{"method": method, "n": n, "seconds": statistics.median(secs)}
+            for (method, n), secs in samples.items()]

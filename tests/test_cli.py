@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from orthores import validation
 from orthores.cli import main
 
 
@@ -39,6 +40,13 @@ class TestQr:
     def test_rank_deficient(self, tmp_path, capsys):
         path = write_csv(tmp_path / "dup.csv", [[1.0, 1.0]] * 5)
         assert main(["qr", str(path)]) == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e999"])
+    def test_non_finite_cell(self, tmp_path, capsys, cell):
+        path = write_csv(tmp_path / "nf.csv", [[1.0], [cell], [3.0]])
+        assert main(["qr", path]) == 2
+        assert main(["indep", path, "--mode", "student"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_header_detected(self, tmp_path, capsys):
         path = write_csv(tmp_path / "h.csv", [[1.0]] * 4, header=["x1"])
@@ -85,6 +93,13 @@ class TestIndep:
     def test_mode_mismatch(self, tmp_path, capsys):
         path = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [3.0]])
         assert main(["indep", str(path), "--mode", "univariate"]) == 2
+
+    def test_overflowing_sum_of_squares(self, tmp_path, capsys):
+        # R'R and W'W overflow to inf, so the identity check sees NaN
+        path = write_csv(tmp_path / "big.csv", [[1e200], [-2e200], [4e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["indep", path, "--mode", "student"]) == 4
+        assert capsys.readouterr().out == ""
 
     def test_univariate(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -138,6 +153,10 @@ class TestCheck:
         assert out["theorem7_pass"] and out["idempotency_pass"]
         assert out["failures"] == []
 
+    @pytest.mark.parametrize("grid", ["1", "5,1", "0"])
+    def test_grid_below_two(self, capsys, grid):
+        assert main(["check", "--n-grid", grid, "--trials", "1"]) == 2
+
     def test_injected_fault(self, capsys):
         code, out = run(capsys, ["check", "--n-grid", "5", "--trials", "5",
                                  "--seed", "0", "--inject-fault"])
@@ -151,6 +170,11 @@ class TestBench:
                                  "--repeats", "1"])
         assert code == 0
         assert len(out["timings"]) == 6
+
+    def test_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "orthocomplement_apply",
+                            lambda sp, X, x: np.zeros(X.shape[0] - X.shape[1]))
+        assert main(["bench", "--n-grid", "30,60", "--p", "2", "--repeats", "1"]) == 4
 
 
 class TestOutput:

@@ -18,6 +18,7 @@ from orthores import (
     s_recursion,
     sign_fix,
 )
+from orthores.orthocomp import _apply_s
 
 
 def singular_config(n=4):
@@ -36,6 +37,25 @@ def random_orthocomplement_vector(X, rng):
     return z - X @ coef
 
 
+def listed_permutation(n, rows):
+    """Selected rows first, the rest in increasing order, built as a list."""
+    chosen = set(rows)
+    return np.array(list(rows) + [i for i in range(n) if i not in chosen], dtype=np.intp)
+
+
+def permuted_apply(S, X, x, rows):
+    """x_(p) + X_(p) S x^(p) by permuting all n rows of X and x, then slicing."""
+    p = len(rows)
+    perm = listed_permutation(X.shape[0], rows)
+    xp, Xp = x[perm], X[perm]
+    return xp[p:] + Xp[p:] @ (S @ xp[:p])
+
+
+# (n, selected rows): first p, scattered, ending at the last row, and n = p + 1
+SELECTIONS = [(12, (0, 1, 2)), (12, (1, 5, 9)), (12, (3, 7, 11)),
+              (4, (0, 1, 2)), (4, (0, 2, 3)), (2, (1,))]
+
+
 class TestRowSelection:
     def test_permutation(self):
         sel = RowSelection((1, 3))
@@ -48,6 +68,12 @@ class TestRowSelection:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             RowSelection((0, 7)).permutation(5)
+
+    @pytest.mark.parametrize("n,rows", SELECTIONS + [(3, (0, 1, 2)), (6, (5,))])
+    def test_permutation_matches_listed_order(self, n, rows):
+        perm = RowSelection(rows).permutation(n)
+        assert perm.dtype == np.intp
+        np.testing.assert_array_equal(perm, listed_permutation(n, rows))
 
 
 class TestSFromQr:
@@ -248,6 +274,47 @@ class TestOrthocomplementApply:
             fast = orthocomplement_apply(sp, X, x, sel)
             np.testing.assert_allclose(fast, U2.T @ x[perm], atol=1e-10)
             assert abs(fast @ fast - x @ x) <= 1e-10 * (x @ x)
+
+
+class TestSelectionKernel:
+    """The closed form for a row selection never permutes X; it must match
+    the permute-then-slice evaluation and the explicit basis."""
+
+    def setup_case(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, len(rows)))
+        sel = RowSelection(rows)
+        qr = qr_for_selection(X, sel)
+        return rng, X, sel, qr, s_from_qr(qr, X, sel)
+
+    @pytest.mark.parametrize("n,rows", SELECTIONS)
+    def test_matches_permuted_formula_and_basis(self, n, rows):
+        rng, X, sel, qr, sp = self.setup_case(n, rows, 100 + n + sum(rows))
+        U2 = explicit_orthocomplement_basis(qr)
+        perm = listed_permutation(n, rows)
+        for _ in range(3):
+            x = random_orthocomplement_vector(X, rng)
+            fast = orthocomplement_apply(sp, X, x, sel)
+            assert fast.shape == (n - len(rows),)
+            np.testing.assert_allclose(fast, permuted_apply(sp.S, X, x, rows), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fast, U2.T @ x[perm], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n,rows", SELECTIONS)
+    def test_block_matches_columns(self, n, rows):
+        rng, X, sel, _, sp = self.setup_case(n, rows, 200 + n + sum(rows))
+        B = np.column_stack([random_orthocomplement_vector(X, rng) for _ in range(3)])
+        v, out = _apply_s(sp.S, X, B, sel)
+        assert v.shape == (len(rows), 3) and out.shape == (n - len(rows), 3)
+        for j in range(3):
+            np.testing.assert_allclose(out[:, j], orthocomplement_apply(sp, X, B[:, j], sel),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v[:, j], sp.S @ B[list(rows), j], rtol=0, atol=1e-12)
+
+    def test_out_of_range_selection(self):
+        rng, X, _, _, sp = self.setup_case(12, (1, 5, 9), 7)
+        x = random_orthocomplement_vector(X, rng)
+        with pytest.raises(ValueError):
+            orthocomplement_apply(sp, X, x, RowSelection((1, 5, 12)))
 
 
 class TestRankCount:

@@ -4,6 +4,7 @@ import pytest
 from orthores import (
     RankDeficiencyError,
     RowSelection,
+    explicit_orthocomplement_basis,
     fit_least_squares,
     householder_qr,
     independent_residuals,
@@ -96,6 +97,38 @@ class TestIndependentResiduals:
             perm = sel.permutation(n)
             np.testing.assert_allclose(
                 out.W, Y[perm][p:] - X[perm][p:] @ out.beta_star, atol=1e-10)
+
+    @pytest.mark.parametrize("n,rows", [(12, (0, 1, 2)), (12, (1, 5, 9)), (12, (3, 7, 11)),
+                                        (4, (0, 1, 2)), (4, (0, 2, 3)), (2, (1,))])
+    def test_matches_permuted_formula_and_basis(self, n, rows):
+        rng = np.random.default_rng(300 + n + sum(rows))
+        p = len(rows)
+        X = rng.standard_normal((n, p))
+        Y = rng.standard_normal(n)
+        sel = RowSelection(rows)
+        fit = fit_least_squares(X, Y)
+        qr = qr_for_selection(X, sel)
+        sp = s_from_qr(qr, X, sel)
+        out = independent_residuals(fit, sp, sel)
+        # the same construction with every row permuted, selected rows first
+        chosen = set(rows)
+        perm = np.array(list(rows) + [i for i in range(n) if i not in chosen])
+        Rp, Xp = fit.residuals[perm], X[perm]
+        v = sp.S @ Rp[:p]
+        np.testing.assert_allclose(out.v, v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.W, Rp[p:] + Xp[p:] @ v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.beta_star, fit.beta_hat - v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.W, explicit_orthocomplement_basis(qr).T @ Rp,
+                                   rtol=0, atol=1e-10)
+        assert out.selection == sel
+
+    def test_out_of_range_selection(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((12, 3))
+        fit = fit_least_squares(X, rng.standard_normal(12))
+        sp = s_from_qr(householder_qr(X), X)
+        with pytest.raises(ValueError):
+            independent_residuals(fit, sp, RowSelection((1, 5, 12)))
 
     def test_matches_orthocomplement_apply(self):
         rng = np.random.default_rng(6)
