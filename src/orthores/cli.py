@@ -49,45 +49,31 @@ class CliError(Exception):
 
 
 def read_csv_matrix(path: str) -> np.ndarray:
-    """Read a CSV of floats, skipping an optional single header row."""
+    """Read a CSV of floats, skipping blank lines and an optional header
+    (a first non-blank row with a cell that is not a number)."""
     try:
         with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = (row for row in reader if row)
+            first, skip = next(rows, []), 0
+            try:
+                [float(cell) for cell in first]
+            except ValueError:  # a header: the data start after it
+                skip = reader.line_num
+                first = next(rows, [])
+        if not first:
+            raise CliError(EXIT_INPUT, f"{path} contains no data rows")
+        matrix = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
+                            comments=None, quotechar='"')
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
-    if not raw:
-        raise CliError(EXIT_INPUT, f"{path} contains no data rows")
-    start = 0
-    try:
-        [float(cell) for cell in raw[0]]
-    except ValueError:
-        start = 1
-    rows = raw[start:]
-    if not rows:
-        raise CliError(EXIT_INPUT, f"{path} contains a header but no data rows")
-    width = len(rows[0])
-    data = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise CliError(
-                EXIT_INPUT, f"{path} row {start + i + 1}: expected {width} cells, got {len(row)}"
-            )
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise CliError(
-                    EXIT_INPUT,
-                    f"{path} row {start + i + 1}, column {j + 1}: cannot parse {cell!r}",
-                )
-        data.append(parsed)
-    matrix = np.array(data)
+    except ValueError as exc:  # a cell numpy cannot parse, or ragged rows
+        raise CliError(EXIT_INPUT, f"{path}: {exc}")
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         i, j = bad[0]
-        raise CliError(EXIT_INPUT, f"{path} row {start + i + 1}, column {j + 1}: "
-                                   f"non-finite value {rows[i][j]!r}")
+        raise CliError(EXIT_INPUT, f"{path} data row {i + 1}, column {j + 1}: "
+                                   f"non-finite value {matrix[i, j]}")
     return matrix
 
 
@@ -138,7 +124,10 @@ def manifest(args) -> dict:
 
 def emit(args, payload: dict) -> None:
     payload = {"manifest": manifest(args), **payload}
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity, which JSON cannot carry
+        raise CliError(EXIT_IDENTITY, f"result is not finite: {exc}")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -158,10 +147,9 @@ def cmd_qr(args) -> None:
 
 def cmd_residuals(args) -> None:
     data = read_csv_matrix(args.input)
-    if data.shape[1] == 1:  # Y alone: fit the mean
-        fit = fit_least_squares(np.ones((data.shape[0], 1)), data[:, 0])
-    else:
-        fit = fit_least_squares(data[:, :-1], data[:, -1])
+    n, ncols = data.shape
+    X = data[:, :-1] if ncols > 1 else np.ones((n, 1))  # Y alone: fit the mean
+    fit = fit_least_squares(X, data[:, -1])
     emit(args, {
         "beta_hat": fit.beta_hat.tolist(),
         "R": fit.residuals.tolist(),
@@ -171,29 +159,29 @@ def cmd_residuals(args) -> None:
 
 def cmd_indep(args) -> None:
     data = read_csv_matrix(args.input)
-    ncols = data.shape[1]
+    n, ncols = data.shape
+    Y = data[:, -1]
     if args.mode == "student":
         if ncols != 1:
             raise CliError(EXIT_INPUT, f"student mode needs a 1-column file, got {ncols}")
-        Y = data[:, 0]
-        rss = float(np.sum((Y - Y.mean()) ** 2))
-        result = student_w(Y, args.variant or "minus")
+        X = np.ones((n, 1))
+        construct = lambda fit: student_w(Y, args.variant or "minus")
     elif args.mode == "univariate":
         if ncols != 2:
             raise CliError(EXIT_INPUT, f"univariate mode needs a 2-column file, got {ncols}")
         t = standardize_predictor(data[:, 0])
-        Y = data[:, 1]
-        rss = fit_least_squares(np.column_stack([np.ones(len(Y)), t.t]), Y).rss
-        result = univariate_w(t, Y, args.variant or "b")
+        X = np.column_stack([np.ones(n), t.t])
+        construct = lambda fit: univariate_w(t, Y, args.variant or "b")
     else:
         if ncols < 2:
             raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
-        X, Y = data[:, :-1], data[:, -1]
+        X = data[:, :-1]
         sel = parse_selection(args.rows)
-        fit = fit_least_squares(X, Y)
-        rss = fit.rss
-        sp = s_from_qr(qr_for_selection(X, sel), X, sel)
-        result = independent_residuals(fit, sp, sel)
+        construct = lambda fit: independent_residuals(
+            fit, s_from_qr(qr_for_selection(X, sel), X, sel), sel)
+    fit = fit_least_squares(X, Y)
+    rss = fit.rss
+    result = construct(fit)
     wss = float(result.W @ result.W)
     rel_err = abs(wss - rss) / rss if rss != 0.0 else abs(wss)
     if not rel_err < args.tol:  # NaN fails too

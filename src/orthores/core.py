@@ -93,7 +93,6 @@ class HouseholderQR:
     reflectors: tuple[np.ndarray, ...]
     vnorm2: tuple[float, ...]
     T: np.ndarray
-    policy: SignPolicy
 
     @property
     def nonzero_reflector_count(self) -> int:
@@ -177,34 +176,29 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         reflectors.append(v)
         vnorm2.append(vn2)
     T = np.triu(A[:p, :p])
-    return HouseholderQR(
-        n=n, p=p, reflectors=tuple(reflectors), vnorm2=tuple(vnorm2),
-        T=T, policy=policy,
-    )
+    return HouseholderQR(n=n, p=p, reflectors=tuple(reflectors), vnorm2=tuple(vnorm2), T=T)
+
+
+def _reflect_all(qr: HouseholderQR, x, steps) -> np.ndarray:
+    """Apply the reflections given as (v, ||v||^2) pairs in ``steps``, in order."""
+    x = as_vector(x)
+    if x.size != qr.n:
+        raise ValueError(f"vector length {x.size} != n = {qr.n}")
+    y = x.copy()
+    for v, vn2 in steps:
+        if vn2 > 0.0:
+            y -= (2.0 * (v @ y) / vn2) * v
+    return y
 
 
 def apply_Qt(qr: HouseholderQR, x) -> np.ndarray:
     """Apply H_p ... H_1 (= U^T) to x in O(np) operations."""
-    x = as_vector(x)
-    if x.size != qr.n:
-        raise ValueError(f"vector length {x.size} != n = {qr.n}")
-    y = x.copy()
-    for v, vn2 in zip(qr.reflectors, qr.vnorm2):
-        if vn2 > 0.0:
-            y -= (2.0 * (v @ y) / vn2) * v
-    return y
+    return _reflect_all(qr, x, zip(qr.reflectors, qr.vnorm2))
 
 
 def apply_Q(qr: HouseholderQR, x) -> np.ndarray:
     """Apply H_1 ... H_p (= U) to x; inverse of apply_Qt."""
-    x = as_vector(x)
-    if x.size != qr.n:
-        raise ValueError(f"vector length {x.size} != n = {qr.n}")
-    y = x.copy()
-    for v, vn2 in zip(reversed(qr.reflectors), reversed(qr.vnorm2)):
-        if vn2 > 0.0:
-            y -= (2.0 * (v @ y) / vn2) * v
-    return y
+    return _reflect_all(qr, x, zip(reversed(qr.reflectors), reversed(qr.vnorm2)))
 
 
 def reconstruct(qr: HouseholderQR) -> np.ndarray:

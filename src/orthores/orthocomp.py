@@ -72,27 +72,40 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
     """v = S x^(p) and x_(p) + X_(p) v for a vector or an n x m block x,
     without permuting or gathering the n rows of X."""
     p = S.shape[0]
-    idx = sel.rows(X.shape[0])
-    if idx[-1] == p - 1:  # increasing indices, so rows 0..p-1: slices suffice
+    if sel.indices[-1] == p - 1:  # increasing indices, so rows 0..p-1: slices suffice
         v = S @ x[:p]
         return v, x[p:] + X[p:] @ v
+    idx = sel.rows(X.shape[0])
     v = S @ x[idx]
     return v, np.delete(x + X @ v, idx, axis=0)  # every row, then drop the p selected
 
 
 @dataclass(frozen=True)
 class SProjector:
-    """S with its rank and the normalizer it was derived from.
-
-    ``normalizer`` is T from the QR route, C from the orthonormalizing
-    route, or I_p for the raw recursion on orthonormal columns.
-    """
+    """S with its rank and the route it was built by."""
 
     p: int
     S: np.ndarray
     rank: int
-    normalizer: np.ndarray
     source: str  # "from-t" | "from-c" | "recursion"
+
+
+def _border(S: np.ndarray, M: np.ndarray, k: int,
+            diagonal: float) -> tuple[np.ndarray, bool]:
+    """Grow S, the (generalized) inverse of the leading k x k block of D - M
+    (D diagonal, D_{k+1,k+1} = ``diagonal``), by one row and column.
+
+    Returns the grown matrix and whether its pivot (Schur complement) is
+    nonzero; a pivot below PIVOT_TOL pads S with zeros."""
+    Scol = S @ M[:k, k]
+    rowS = M[k, :k] @ S
+    pivot = diagonal - M[k, k] - float(M[k, :k] @ Scol)
+    grown = np.zeros((k + 1, k + 1))
+    grown[:k, :k] = S
+    if abs(pivot) < PIVOT_TOL:
+        return grown, False
+    grown += np.outer(np.append(Scol, 1.0), np.append(rowS, 1.0)) / pivot
+    return grown, True
 
 
 def _svd_rank(M: np.ndarray) -> int:
@@ -134,7 +147,7 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     if _svd_rank(M) < p:
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     S = np.linalg.solve(M, np.eye(p))
-    return SProjector(p=p, S=S, rank=p, normalizer=qr.T.copy(), source="from-t")
+    return SProjector(p=p, S=S, rank=p, source="from-t")
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
@@ -154,19 +167,9 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
     S = np.zeros((0, 0))
     rank = 0
     for k in range(p):
-        col = head[:k, k]           # x_{k+1}^(k)
-        row = head[k, :k]           # x_{k+1,1:k}
-        Scol = S @ col
-        pivot = 1.0 - head[k, k] - float(row @ Scol)
-        grown = np.zeros((k + 1, k + 1))
-        grown[:k, :k] = S
-        if abs(pivot) >= PIVOT_TOL:
-            left = np.append(Scol, 1.0)
-            right = np.append(row @ S, 1.0)
-            grown += np.outer(left, right) / pivot
-            rank += 1
-        S = grown
-    return SProjector(p=p, S=S, rank=rank, normalizer=np.eye(p), source="recursion")
+        S, grew = _border(S, head, k, 1.0)
+        rank += grew
+    return SProjector(p=p, S=S, rank=rank, source="recursion")
 
 
 def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
@@ -186,7 +189,7 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     _check_orthonormal(Xt)
     inner = s_recursion(Xt, sel)
     S = np.linalg.solve(C, inner.S)
-    return SProjector(p=p, S=S, rank=inner.rank, normalizer=C.copy(), source="from-c")
+    return SProjector(p=p, S=S, rank=inner.rank, source="from-c")
 
 
 def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
@@ -208,20 +211,10 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     d = np.zeros(p)
     Ainv = np.zeros((0, 0))
     for k in range(p):
-        b = -M[:k, k]
-        c = -M[k, :k]
-        base = -M[k, k] - float(c @ (Ainv @ b))
-        s = 1.0 if abs(1.0 + base) >= abs(-1.0 + base) else -1.0
-        pivot = s + base
-        Ab = Ainv @ b
-        cA = c @ Ainv
-        grown = np.zeros((k + 1, k + 1))
-        grown[:k, :k] = Ainv + np.outer(Ab, cA) / pivot
-        grown[:k, k] = -Ab / pivot
-        grown[k, :k] = -cA / pivot
-        grown[k, k] = 1.0 / pivot
-        Ainv = grown
-        d[k] = s
+        # the pivot is d_k + base; pick the sign that keeps it away from zero
+        base = -M[k, k] - float(M[k, :k] @ (Ainv @ M[:k, k]))
+        d[k] = 1.0 if abs(1.0 + base) >= abs(-1.0 + base) else -1.0
+        Ainv, _ = _border(Ainv, M, k, d[k])
 
     fixed = np.diag(d) @ C - head
     sv = np.linalg.svd(fixed, compute_uv=False)
@@ -256,7 +249,7 @@ def rank_count(qr: HouseholderQR, X) -> int:
     nz = qr.nonzero_reflector_count
     est = _svd_rank(qr.T - X[:qr.p])
     if nz != est:
-        raise RuntimeError(
+        raise ArithmeticError(
             f"rank formula violated: {nz} nonzero reflectors vs numerical rank {est}"
         )
     return nz

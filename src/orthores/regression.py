@@ -1,13 +1,14 @@
 """Least-squares fitting and independent-residual constructions.
 
-The generic path perturbs the last n-p residuals by X_(p) S R^(p); the
-p = 1 (mean-only) and p = 2 (slope-intercept) cases have explicit
-coefficient formulas.  Every path preserves the residual sum of squares:
-W^T W = R^T R.
+Every construction perturbs the last n-p residuals by X_(p) S R^(p) and
+differs from the others only in S: the generic (T - X^(p))^-1, the
+mean-only (p = 1) coefficient c, or the slope-intercept (p = 2) 2x2
+matrix.  Every path preserves the residual sum of squares: W^T W = R^T R.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,13 @@ XTR_TOL = 1e-8
 # singular branch is taken.
 SINGULAR_DET_TOL = 1e-10
 
+_FIRST_ROW = RowSelection.first(1)
+_FIRST_TWO_ROWS = RowSelection.first(2)
+
 
 @dataclass(frozen=True)
 class RegressionFit:
     X: np.ndarray
-    Y: np.ndarray
     beta_hat: np.ndarray
     residuals: np.ndarray
     rss: float
@@ -73,8 +76,13 @@ def fit_least_squares(X, Y) -> RegressionFit:
     resid_err = float(np.max(np.abs(X.T @ R)))
     if resid_err >= XTR_TOL * max(float(np.linalg.norm(Y)), 1.0):
         raise ArithmeticError(f"normal-equation residual too large: {resid_err:.3e}")
-    return RegressionFit(X=X, Y=Y, beta_hat=beta, residuals=R,
-                         rss=float(R @ R), qr=qr)
+    return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
+
+
+def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray,
+               sel: RowSelection) -> IndependentResiduals:
+    v, W = _apply_s(S, X, R, sel)
+    return IndependentResiduals(W=W, v=v, beta_star=beta_hat - v, selection=sel)
 
 
 def independent_residuals(fit: RegressionFit, sp: SProjector,
@@ -84,29 +92,28 @@ def independent_residuals(fit: RegressionFit, sp: SProjector,
     p = fit.X.shape[1]
     if sp.p != p:
         raise ValueError("projector size does not match the fit")
-    sel = _selection(sel, p)
-    v, W = _apply_s(sp.S, fit.X, fit.residuals, sel)
-    return IndependentResiduals(W=W, v=v, beta_star=fit.beta_hat - v, selection=sel)
+    return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, _selection(sel, p))
 
 
-def student_w(Y, variant: str = "minus") -> IndependentResiduals:
-    """Mean-only case: W_j = R_{j+1} + c R_1 with c = -1/(sqrt(n)+1)
-    ("minus") or c = 1/(sqrt(n)-1) ("plus")."""
-    Y = as_vector(Y)
-    n = Y.size
+def student_coefficient(n: int, variant: str) -> np.ndarray:
+    """The 1x1 S of the mean-only case: c = -1/(sqrt(n)+1) ("minus") or
+    c = 1/(sqrt(n)-1) ("plus")."""
     if n < 2:
         raise ValueError("need at least 2 observations")
     if variant not in ("minus", "plus"):
         raise ValueError(f"unknown variant: {variant!r}")
-    rn = np.sqrt(n)
+    rn = math.sqrt(n)
     c = -1.0 / (rn + 1.0) if variant == "minus" else 1.0 / (rn - 1.0)
+    return np.array([[c]])
+
+
+def student_w(Y, variant: str = "minus") -> IndependentResiduals:
+    """Mean-only case: W_j = R_{j+1} + c R_1 with c from student_coefficient."""
+    Y = as_vector(Y)
+    n = Y.size
+    S = student_coefficient(n, variant)
     mean = float(np.mean(Y))
-    R = Y - mean
-    W = R[1:] + c * R[0]
-    v = np.array([c * R[0]])
-    mu_star = mean - v[0]
-    return IndependentResiduals(W=W, v=v, beta_star=np.array([mu_star]),
-                                selection=RowSelection((0,)))
+    return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S, _FIRST_ROW)
 
 
 def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
@@ -121,8 +128,8 @@ def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
     t1, t2 = float(t[0]), float(t[1])
     if variant == "a":
         den = (rn - 1.0) * (1.0 - t2) - t1
-        if abs(den) < SINGULAR_DET_TOL:
-            return np.array([[1.0 / (rn - 1.0), 0.0], [0.0, 0.0]])
+        if abs(den) < SINGULAR_DET_TOL:  # rank one: the mean-only "plus" S, padded
+            return np.pad(student_coefficient(n, "plus"), (0, 1))
         return np.array([[1.0 - t2, t1], [1.0, rn - 1.0]]) / den
     if variant == "b":
         g = (rn + 1.0) * t2 - t1
@@ -145,12 +152,9 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
     a_hat = float(np.mean(Y))
     b_hat = float(tv @ Y)
     R = Y - a_hat - b_hat * tv
-    AB = univariate_coefficients(tv, n, variant)
-    corr = AB @ R[:2]
-    W = R[2:] + corr[0] + corr[1] * tv[2:]
-    beta_star = np.array([a_hat - corr[0], b_hat - corr[1]])
-    return IndependentResiduals(W=W, v=corr, beta_star=beta_star,
-                                selection=RowSelection((0, 1)))
+    X = np.column_stack([np.ones(n), tv])
+    return _construct(X, np.array([a_hat, b_hat]), R,
+                      univariate_coefficients(tv, n, variant), _FIRST_TWO_ROWS)
 
 
 def standardize_predictor(raw) -> StandardizedPredictor:

@@ -17,7 +17,7 @@ import numpy as np
 from .core import STANDARD, apply_Qt, as_matrix, explicit_orthocomplement_basis, householder_qr
 from .orthocomp import (RowSelection, _apply_s, _selection, _svd_rank, orthocomplement_apply,
                         s_from_qr)
-from .regression import student_w, univariate_coefficients
+from .regression import student_coefficient, univariate_coefficients
 
 IDEMPOTENT_TOL = 1e-10
 CONDITION_TOL = 1e-9
@@ -198,10 +198,8 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
 
     if cfg.construction == "generic":
         S = s_from_qr(householder_qr(X, STANDARD), X).S
-    elif cfg.construction in ("student-minus", "student-plus"):
-        rn = np.sqrt(n)
-        c = -1.0 / (rn + 1.0) if cfg.construction.endswith("minus") else 1.0 / (rn - 1.0)
-        S = np.array([[c]])
+    elif cfg.construction.startswith("student"):
+        S = student_coefficient(n, cfg.construction.split("-")[1])
     else:
         S = univariate_coefficients(X[:, 1], n, cfg.construction[-1])
 

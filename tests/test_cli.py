@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from orthores import validation
-from orthores.cli import main
+from orthores import orthocomp, validation
+from orthores.cli import main, read_csv_matrix
 
 
 def write_csv(path, rows, header=None):
@@ -53,6 +53,44 @@ class TestQr:
         code, out = run(capsys, ["qr", path])
         assert code == 0 and out["T"] == [[-2.0]]
 
+    def test_rank_formula_violation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(orthocomp, "_svd_rank", lambda M: 0)
+        path = write_csv(tmp_path / "x.csv", [[1.0]] * 4)
+        assert main(["qr", path]) == 4
+        assert capsys.readouterr().out == ""
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("text, expected", [
+        ("x,y\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),        # CRLF
+        ('"x","y"\n"1.5","2"\n3,"4"\n', [[1.5, 2.0], [3.0, 4.0]]),  # quoted cells
+        ("\nx\n1\n2\n", [[1.0], [2.0]]),                            # blank line, header
+        ("1,2\n\n3,4\n\n\n", [[1.0, 2.0], [3.0, 4.0]]),             # blank lines
+        ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),                     # no final newline
+        (" 1.5 , 2 \n3 ,4\n", [[1.5, 2.0], [3.0, 4.0]]),            # spaces around cells
+    ])
+    def test_accepted(self, tmp_path, text, expected):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        got = read_csv_matrix(str(path))
+        assert got.shape == np.shape(expected)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("text", [
+        "",                  # empty file
+        "x,y\n",             # header only
+        "1,2\n3\n",          # ragged rows
+        "1\n#4\n",           # not a comment
+        "1\n0x10\n",         # no hexadecimal
+        "1\ninf\n",          # non-finite
+        "1\n1_000\n",        # no digit separators (Python's float takes them)
+    ])
+    def test_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert main(["residuals", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestResiduals:
     def test_hand_example(self, tmp_path, capsys):
@@ -73,6 +111,16 @@ class TestResiduals:
         path = tmp_path / "e.csv"
         path.write_text("")
         assert main(["residuals", str(path)]) == 2
+
+    def test_non_finite_result(self, tmp_path, capsys):
+        # R'R overflows to inf, which JSON cannot carry
+        path = write_csv(tmp_path / "big.csv", [[1e200], [-2e200], [4e200]])
+        dest = tmp_path / "out.json"
+        with np.errstate(over="ignore"):
+            assert main(["residuals", path]) == 4
+            assert main(["residuals", path, "--out", str(dest)]) == 4
+        assert capsys.readouterr().out == ""
+        assert not dest.exists()
 
 
 class TestIndep:

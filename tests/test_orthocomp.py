@@ -4,6 +4,7 @@ import pytest
 from orthores import (
     STANDARD,
     TO_POSITIVE,
+    HouseholderQR,
     RowSelection,
     SignPolicy,
     SingularMatrixError,
@@ -332,3 +333,11 @@ class TestRankCount:
         X = singular_config(4)
         qr = householder_qr(X, TO_POSITIVE)
         assert rank_count(qr, X) == 1
+
+    def test_violation_is_arithmetic_error(self):
+        # one zero reflector, but T - X^(1) = [[-3]] has rank 1
+        X = np.ones((4, 1))
+        qr = HouseholderQR(n=4, p=1, reflectors=(np.zeros(4),), vnorm2=(0.0,),
+                           T=np.array([[-2.0]]))
+        with pytest.raises(ArithmeticError, match="rank formula violated"):
+            rank_count(qr, X)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from orthores import (
+    STANDARD,
+    TO_POSITIVE,
     RankDeficiencyError,
     RowSelection,
     explicit_orthocomplement_basis,
@@ -10,13 +12,14 @@ from orthores import (
     independent_residuals,
     orthocomplement_apply,
     qr_for_selection,
+    s_from_c,
     s_from_qr,
     standardize_predictor,
     student_w,
     univariate_w,
     verify_theorem6_roots,
 )
-from orthores.regression import univariate_coefficients
+from orthores.regression import student_coefficient, univariate_coefficients
 
 
 def random_selection(rng, n, p):
@@ -287,3 +290,34 @@ class TestStandardizePredictor:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             standardize_predictor(np.full(5, 2.0))
+
+
+class TestClosedFormsMatchGenericBuilders:
+    """Each closed-form S equals the S of the generic route for its design."""
+
+    CASES = ("student-minus", "student-plus", "univariate-b", "univariate-a",
+             "univariate-a-singular")
+
+    @staticmethod
+    def closed_and_generic(case, n):
+        if case.startswith("student"):
+            X = np.ones((n, 1))
+            variant = case.split("-")[1]
+            policy = STANDARD if variant == "minus" else TO_POSITIVE
+            return student_coefficient(n, variant), s_from_qr(householder_qr(X, policy), X)
+        if case == "univariate-a-singular":
+            t = TestUnivariateSingularBranch().make_singular_t(n)
+            X = np.column_stack([np.ones(n), t])
+            sp = s_from_c(X, np.diag([np.sqrt(n), 1.0]))
+            assert sp.rank == 1
+            return univariate_coefficients(t, n, "a"), sp
+        t = standardize_predictor(np.random.default_rng(n).standard_normal(n)).t
+        X = np.column_stack([np.ones(n), t])
+        policy = STANDARD if case == "univariate-b" else TO_POSITIVE
+        return univariate_coefficients(t, n, case[-1]), s_from_qr(householder_qr(X, policy), X)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 50])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches(self, case, n):
+        closed, generic = self.closed_and_generic(case, n)
+        np.testing.assert_allclose(closed, generic.S, rtol=0, atol=1e-12)
