@@ -177,8 +177,11 @@ def cmd_indep(args) -> None:
             raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
         X = data[:, :-1]
         sel = parse_selection(args.rows)
+        p = X.shape[1]
+        # the first p rows need no permutation, so the fit's factorization serves
+        first = sel is None or sel.indices == tuple(range(p))
         construct = lambda fit: independent_residuals(
-            fit, s_from_qr(qr_for_selection(X, sel), X, sel), sel)
+            fit, s_from_qr(fit.qr if first else qr_for_selection(X, sel), X, sel), sel)
     fit = fit_least_squares(X, Y)
     rss = fit.rss
     result = construct(fit)

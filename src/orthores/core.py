@@ -7,10 +7,12 @@ zero vector, in which case the corresponding reflection is the identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrt
 
 # Pivot tail below this fraction of ||X||_F means the column is linearly
 # dependent on the previous ones.
@@ -140,6 +142,8 @@ def apply_reflection(v, x) -> np.ndarray:
 def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     """Factor X as H_1 ... H_p [T; 0] with T upper triangular.
 
+    Under the standard policy this is one LAPACK ``dgeqrt`` call, converted
+    to the same reflectors; other policies build each reflector in a loop.
     Raises RankDeficiencyError when a pivot tail norm falls below
     RANK_TOL * ||X||_F.
     """
@@ -150,33 +154,67 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     if policy.kind == "custom" and len(policy.signs) != p:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
     scale = float(np.linalg.norm(X))
+    if policy.kind == "standard":
+        return _standard_qr(X, scale)
     A = X.copy()
     reflectors = []
     vnorm2 = []
     for k in range(p):
-        tail = A[k:, k]
-        norm = float(np.linalg.norm(tail))
+        norm = float(np.linalg.norm(A[k:, k]))
         if norm <= RANK_TOL * scale:
-            raise RankDeficiencyError(
-                f"rank deficiency detected at column {k + 1}: pivot tail norm {norm:.3e}"
-            )
-        d = policy.sign_for(k, float(A[k, k]))
-        if abs(A[k, k] + d * norm) <= CANCEL_TOL * norm:
-            # exact cancellation: H_k = I; drop the sub-diagonal dust
-            reflectors.append(np.zeros(n))
-            vnorm2.append(0.0)
-            A[k + 1:, k] = 0.0
-            continue
-        v = np.zeros(n)
-        v[k] = A[k, k] + d * norm
-        v[k + 1:] = A[k + 1:, k]
+            raise _rank_deficiency(k, norm)
+        v = make_reflector(A[:, k], k + 1, policy.sign_for(k, float(A[k, k])))
         vn2 = float(v @ v)
-        A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
-        A[k + 1:, k] = 0.0
+        if vn2 > 0.0:
+            A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
+        A[k + 1:, k] = 0.0  # with v = 0 (H_k = I) this drops the sub-diagonal dust
         reflectors.append(v)
         vnorm2.append(vn2)
     T = np.triu(A[:p, :p])
     return HouseholderQR(n=n, p=p, reflectors=tuple(reflectors), vnorm2=tuple(vnorm2), T=T)
+
+
+def _rank_deficiency(k: int, norm: float) -> RankDeficiencyError:
+    return RankDeficiencyError(
+        f"rank deficiency detected at column {k + 1}: pivot tail norm {norm:.3e}"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_mask(p: int) -> np.ndarray:
+    """Read-only mask of the upper triangle (with the diagonal) of a p x p matrix."""
+    mask = np.triu(np.ones((p, p), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+def _standard_qr(X: np.ndarray, scale: float) -> HouseholderQR:
+    """Standard-sign factorization from LAPACK's H_k = I - tau_k u_k u_k^T.
+
+    dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm), the standard sign;
+    adding 0.0 turns a -0.0 pivot, for which it picks +, into +0.0.  Then
+    v_k = -tau_k T_kk u_k.  A zero tail gives tau_k = 0 (H_k = I) where the
+    standard reflector is v_k = 2 T_kk e_k, which only negates row k of T.
+    """
+    n, p = X.shape
+    a, wy, _ = dgeqrt(p, np.add(X, 0.0, order="F"), overwrite_a=True)  # info < 0 needs p > n
+    diag = a.diagonal().tolist()
+    for k, t in enumerate(diag):  # |T_kk| is the pivot tail norm; stop at the first small one
+        if abs(t) <= RANK_TOL * scale:
+            raise _rank_deficiency(k, abs(t))
+    tau = wy.diagonal().tolist()
+    identity = [k for k, t in enumerate(tau) if t == 0.0]
+    coef = np.array([2.0 * d if t == 0.0 else -t * d for d, t in zip(diag, tau)])
+    up = _upper_mask(p)
+    T = np.where(up, a[:p], 0.0)
+    if identity:
+        T[identity] = 0.0 - T[identity]  # 0.0 - keeps the zeros positive
+    V = a.T.copy()  # row k: u_k below its unit entry; T^T in the leading block
+    V[:, :p][up.T] = 0.0
+    V.ravel()[::n + 1] = 1.0  # the unit entries u_kk, at flat index k (n + 1)
+    V *= coef[:, None]
+    vnorm2 = np.einsum("ij,ij->i", V, V)
+    return HouseholderQR(n=n, p=p, reflectors=tuple(V), vnorm2=tuple(vnorm2.tolist()), T=T)
 
 
 def _reflect_all(qr: HouseholderQR, x, steps) -> np.ndarray:

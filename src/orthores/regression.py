@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .core import STANDARD, HouseholderQR, apply_Qt, as_matrix, as_vector, householder_qr
 from .orthocomp import RowSelection, SProjector, _apply_s, _selection
@@ -70,8 +70,12 @@ def fit_least_squares(X, Y) -> RegressionFit:
     if p >= n:
         raise ValueError(f"need p < n, got {n}x{p}")
     qr = householder_qr(X, STANDARD)
-    z = apply_Qt(qr, Y)
-    beta = solve_triangular(qr.T, z[:p])
+    z = apply_Qt(qr, Y)[:p]
+    if not (np.isfinite(qr.T).all() and np.isfinite(z).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # T^T is lower triangular and already in LAPACK's column-major order;
+    # info > 0 (a zero T_kk) cannot follow householder_qr's rank check
+    beta, _ = dtrtrs(qr.T.T, z, lower=1, trans=1)
     R = Y - X @ beta
     resid_err = float(np.max(np.abs(X.T @ R)))
     if resid_err >= XTR_TOL * max(float(np.linalg.norm(Y)), 1.0):

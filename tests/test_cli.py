@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orthores import orthocomp, validation
+from orthores import orthocomp, regression, validation
 from orthores.cli import main, read_csv_matrix
 
 
@@ -164,6 +164,28 @@ class TestIndep:
         code, out = run(capsys, ["indep", path, "--mode", "general", "--rows", "1,4"])
         assert code == 0
         assert len(out["W"]) == 8
+        assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
+
+    @pytest.mark.parametrize("rows,calls", [(None, 1), ("0,1,2", 1), ("1,4,7", 2)])
+    def test_general_factors_once_without_permutation(self, tmp_path, capsys, monkeypatch,
+                                                      rows, calls):
+        counted = []
+
+        def counting(qr_fn):
+            def wrapper(*args, **kwargs):
+                counted.append(1)
+                return qr_fn(*args, **kwargs)
+            return wrapper
+
+        for module in (regression, orthocomp):
+            monkeypatch.setattr(module, "householder_qr", counting(module.householder_qr))
+        rng = np.random.default_rng(2)
+        data = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
+        path = write_csv(tmp_path / "g.csv", data.round(8).tolist())
+        argv = ["indep", path, "--mode", "general"] + (["--rows", rows] if rows else [])
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert len(counted) == calls
         assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
 
 

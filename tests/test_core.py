@@ -125,6 +125,99 @@ class TestHouseholderQR:
             assert np.all(v[:k] == 0.0)
 
 
+def _same_sign_loop(X):
+    """The standard factorization and the reflector loop run with its signs."""
+    qr = householder_qr(X)
+    signs = [-1 if t > 0.0 else 1 for t in np.diag(qr.T)]
+    return qr, householder_qr(X, SignPolicy.custom(signs))
+
+
+def _assert_agree(qr, loop, X):
+    """T, reflectors and ||v||^2 within 1e-13 relative to ||X|| (||X||^2)."""
+    scale = np.linalg.norm(X)
+    assert np.max(np.abs(qr.T - loop.T)) <= 1e-13 * scale
+    assert np.max(np.abs(np.array(qr.reflectors) - np.array(loop.reflectors))) <= 1e-13 * scale
+    assert np.max(np.abs(np.subtract(qr.vnorm2, loop.vnorm2))) <= 1e-13 * scale**2
+
+
+class TestStandardAgainstLoop:
+    """The one-call LAPACK factorization against the reflector loop."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n,p", [(1, 1), (6, 1), (9, 3), (40, 6), (6, 6), (300, 8)])
+    def test_random(self, n, p, scale):
+        rng = np.random.default_rng(n * 31 + p)
+        X = scale * rng.standard_normal((n, p))
+        X[:, 0] = scale  # an intercept column
+        _assert_agree(*_same_sign_loop(X), X)
+
+    @pytest.mark.parametrize("X", [
+        np.eye(4)[:, :2],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+        np.eye(3),
+        -np.eye(3),
+        [[-0.0, 1.0], [1.0, 2.0], [1.0, 3.0]],
+    ])
+    def test_edge_cases(self, X):
+        X = np.array(X, dtype=float)
+        qr, loop = _same_sign_loop(X)
+        _assert_agree(qr, loop, X)
+        assert qr.nonzero_reflector_count == X.shape[1]
+
+    def test_negative_zero_pivot_takes_the_standard_sign(self):
+        qr = householder_qr([[-0.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        assert qr.T[0, 0] == -np.sqrt(2.0)
+
+    def test_zero_tail_negates_its_row(self):
+        qr = householder_qr(np.eye(3))
+        np.testing.assert_array_equal(qr.T, -np.eye(3))
+        assert not np.signbit(qr.T[np.triu_indices(3, 1)]).any()
+        assert qr.vnorm2 == (4.0, 4.0, 4.0)
+
+    @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE])
+    def test_first_dependent_column_is_named(self, policy):
+        # the pivot tail of column 4 rounds below that of column 3 here
+        t = np.linspace(0.0, 1.0, 10)
+        X = np.column_stack([np.ones(10), t, np.ones(10), 2.0 * t])
+        with pytest.raises(RankDeficiencyError, match="column 3"):
+            householder_qr(X, policy)
+
+    def test_standard_policy_skips_the_loop(self, monkeypatch):
+        from orthores import core
+
+        def fail(*args):
+            raise AssertionError("reflector loop ran under the standard policy")
+
+        monkeypatch.setattr(core, "make_reflector", fail)
+        qr = householder_qr(np.arange(12.0).reshape(4, 3) ** 1.5)
+        assert qr.nonzero_reflector_count == 3
+
+
+class TestLoopPolicies:
+    """Outputs of the reflector loop, pinned to values it gave before it
+    used make_reflector."""
+
+    def test_to_positive(self):
+        X = [[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [-1.0, 0.25, 4.0], [3.0, 1.0, 1.0]]
+        qr = householder_qr(X, TO_POSITIVE)
+        np.testing.assert_array_equal(qr.T, [
+            [3.872983346207417, 0.9682458365518545, -0.5163977794943224],
+            [0.0, 3.181980515339464, -1.257078722109418],
+            [0.0, 0.0, 4.404893462928824]])
+        np.testing.assert_array_equal(qr.reflectors, [
+            [-1.872983346207417, 1.0, -1.0, 3.0],
+            [0.0, -1.2328418807313843, 1.3008613653919205, -2.1525840961757616],
+            [0.0, 0.0, -1.1588636034029967, 2.977646146005234]])
+        assert qr.vnorm2 == (14.508066615170332, 7.8457576859634495, 10.209341422112002)
+
+    def test_custom_with_identity_reflection(self):
+        qr = householder_qr([[1.0, 2.0], [0.0, 1.0], [0.0, 1.0]], SignPolicy.custom([-1, 1]))
+        np.testing.assert_array_equal(qr.T, [[1.0, 2.0], [0.0, -1.414213562373095]])
+        np.testing.assert_array_equal(qr.reflectors, [[0.0, 0.0, 0.0],
+                                                      [0.0, 2.414213562373095, 1.0]])
+        assert qr.vnorm2 == (0.0, 6.82842712474619)
+
+
 class TestApplyQt:
     def test_ones_examples(self):
         qr = householder_qr(np.ones((4, 1)))

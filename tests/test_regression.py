@@ -59,6 +59,14 @@ class TestFit:
         with pytest.raises(RankDeficiencyError):
             fit_least_squares(np.ones((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("where", ["X", "Y"])
+    def test_non_finite_input(self, where):
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        Y = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+        (X if where == "X" else Y)[2, ...] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_least_squares(X, Y)
+
 
 class TestIndependentResiduals:
     def test_zero_residuals(self):
