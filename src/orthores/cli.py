@@ -88,10 +88,10 @@ def parse_selection(spec: str | None) -> RowSelection | None:
 
 
 def parse_policy(name: str, custom: str | None) -> SignPolicy:
-    if name == "standard":
-        return STANDARD
-    if name == "to-positive":
-        return TO_POSITIVE
+    if name != "custom":
+        if custom is not None:
+            raise CliError(EXIT_INPUT, f"--signs needs --policy custom, not {name}")
+        return STANDARD if name == "standard" else TO_POSITIVE
     try:
         return SignPolicy.custom(int(s) for s in custom.split(","))
     except (AttributeError, ValueError) as exc:
@@ -99,7 +99,7 @@ def parse_policy(name: str, custom: str | None) -> SignPolicy:
 
 
 def resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("ORTHORES_SEED")
     if env is not None:
@@ -116,7 +116,7 @@ def manifest(args) -> dict:
         "input": getattr(args, "input", None),
         "selection": getattr(args, "rows", None),
         "variant": getattr(args, "variant", None),
-        "seed": getattr(args, "seed", None),
+        "seed": resolve_seed(args) if "seed" in args else None,  # the seed the run used
         "output": getattr(args, "out", None),
         "tool_version": __version__,
     }
@@ -158,6 +158,10 @@ def cmd_residuals(args) -> None:
 
 
 def cmd_indep(args) -> None:
+    if args.rows is not None and args.mode != "general":
+        raise CliError(EXIT_INPUT, f"--rows needs --mode general, not {args.mode}")
+    if args.variant is not None and args.mode == "general":
+        raise CliError(EXIT_INPUT, "--variant needs --mode student or univariate")
     data = read_csv_matrix(args.input)
     n, ncols = data.shape
     Y = data[:, -1]
@@ -212,7 +216,6 @@ def cmd_simulate(args) -> None:
 
 def cmd_check(args) -> None:
     seed = resolve_seed(args)
-    tol = args.tol
     rng = np.random.default_rng(seed)
     failures = []
 
@@ -229,7 +232,7 @@ def cmd_check(args) -> None:
         X = rng.standard_normal((n, p))
         oracle_errors[str(n)] = oracle_compare(X, args.trials, seed + n)
     oracle_max = max(oracle_errors.values())
-    if oracle_max >= tol:
+    if oracle_max >= args.tol:
         failures.append("oracle_max_error")
 
     roots = {}
@@ -262,7 +265,7 @@ def cmd_check(args) -> None:
             float(np.max(np.abs(M.T @ M - np.eye(n - 1)))),
             float(np.max(np.abs(M.T @ np.ones(n)))),
         )
-    if cheng_err >= tol:
+    if cheng_err >= args.tol:
         failures.append("cheng_orthonormality_error")
 
     idem_pass = True
@@ -300,33 +303,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="tolerance for internal identity checks")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write JSON here instead of stdout")
+    tol = argparse.ArgumentParser(add_help=False)  # for the commands that check identities
+    tol.add_argument("--tol", type=float, default=1e-10,
+                     help="tolerance for internal identity checks")
 
-    p = sub.add_parser("qr", help="Householder factorization of a CSV matrix")
+    p = sub.add_parser("qr", parents=[out], help="Householder factorization of a CSV matrix")
     p.add_argument("input")
     p.add_argument("--policy", choices=["standard", "to-positive", "custom"],
                    default="standard")
     p.add_argument("--signs", help="comma-separated +-1 list for --policy custom")
-    common(p)
     p.set_defaults(func=cmd_qr)
 
-    p = sub.add_parser("residuals", help="least-squares fit and residuals")
+    p = sub.add_parser("residuals", parents=[out], help="least-squares fit and residuals")
     p.add_argument("input")
-    common(p)
     p.set_defaults(func=cmd_residuals)
 
-    p = sub.add_parser("indep", help="independent residuals")
+    p = sub.add_parser("indep", parents=[out, tol], help="independent residuals")
     p.add_argument("input")
     p.add_argument("--mode", choices=["student", "univariate", "general"], required=True)
     p.add_argument("--variant", choices=["minus", "plus", "a", "b"])
     p.add_argument("--rows", help="comma-separated 0-based row selection (general mode)")
-    common(p)
     p.set_defaults(func=cmd_indep)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo moment report")
+    p = sub.add_parser("simulate", parents=[out], help="seeded Monte Carlo moment report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--sigma", type=float, default=1.0)
@@ -336,24 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", default="generic",
                    choices=["generic", "student-minus", "student-plus",
                             "univariate-a", "univariate-b"])
-    common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("check", help="run the oracle and theorem verifications")
+    p = sub.add_parser("check", parents=[out, tol],
+                       help="run the oracle and theorem verifications")
     p.add_argument("--n-grid", default="5,20,100")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="timing comparison of the three apply routes")
+    p = sub.add_parser("bench", parents=[out],
+                       help="timing comparison of the three apply routes")
     p.add_argument("--n-grid", default="1000,4000,16000")
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--repeats", type=int, default=3,
                    help="timed samples per method and n, after one warm-up call; each "
                         "sample loops for at least 1 ms and the median is reported")
-    common(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -66,17 +66,6 @@ class SignPolicy:
     def custom(cls, signs: Sequence[int]) -> "SignPolicy":
         return cls("custom", tuple(int(s) for s in signs))
 
-    def sign_for(self, step: int, pivot: float) -> float:
-        if self.kind == "standard":
-            return 1.0 if pivot >= 0.0 else -1.0
-        if self.kind == "to-positive":
-            return -1.0
-        if step >= len(self.signs):
-            raise ValueError(
-                f"custom sign policy has {len(self.signs)} signs, need step {step + 1}"
-            )
-        return float(self.signs[step])
-
 
 STANDARD = SignPolicy("standard")
 TO_POSITIVE = SignPolicy("to-positive")
@@ -156,6 +145,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     scale = float(np.linalg.norm(X))
     if policy.kind == "standard":
         return _standard_qr(X, scale)
+    signs = policy.signs or (-1,) * p
     A = X.copy()
     reflectors = []
     vnorm2 = []
@@ -163,7 +153,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         norm = float(np.linalg.norm(A[k:, k]))
         if norm <= RANK_TOL * scale:
             raise _rank_deficiency(k, norm)
-        v = make_reflector(A[:, k], k + 1, policy.sign_for(k, float(A[k, k])))
+        v = make_reflector(A[:, k], k + 1, signs[k])
         vn2 = float(v @ v)
         if vn2 > 0.0:
             A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
@@ -240,14 +230,14 @@ def apply_Q(qr: HouseholderQR, x) -> np.ndarray:
 
 
 def reconstruct(qr: HouseholderQR) -> np.ndarray:
-    """Rebuild X = H_1 ... H_p [T; 0] column by column."""
-    n, p = qr.n, qr.p
-    X = np.zeros((n, p))
-    for j in range(p):
-        col = np.zeros(n)
-        col[:p] = qr.T[:, j]
-        X[:, j] = apply_Q(qr, col)
-    return X
+    """Rebuild X = H_1 ... H_p [T; 0] in one pass over the reflectors."""
+    A = np.zeros((qr.n, qr.p))
+    A[:qr.p] = qr.T
+    for k in reversed(range(qr.p)):  # reflector k is zero in rows < k, where columns < k end
+        v, vn2 = qr.reflectors[k], qr.vnorm2[k]
+        if vn2 > 0.0:
+            A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
+    return A
 
 
 def explicit_orthocomplement_basis(qr: HouseholderQR) -> np.ndarray:

@@ -109,9 +109,7 @@ def _border(S: np.ndarray, M: np.ndarray, k: int,
 
 
 def _svd_rank(M: np.ndarray) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
+    sv = np.linalg.svd(M, compute_uv=False)  # descending; M = 0 counts no sv > 0
     return int(np.sum(sv > RANK_SV_TOL * sv[0]))
 
 
@@ -186,8 +184,7 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     if _svd_rank(C) < p:
         raise SingularMatrixError("C is singular")
     Xt = np.linalg.solve(C.T, X.T).T
-    _check_orthonormal(Xt)
-    inner = s_recursion(Xt, sel)
+    inner = s_recursion(Xt, sel)  # raises ValueError unless Xt is orthonormal
     S = np.linalg.solve(C, inner.S)
     return SProjector(p=p, S=S, rank=inner.rank, source="from-c")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 import timeit
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .regression import student_coefficient, univariate_coefficients
 
 IDEMPOTENT_TOL = 1e-10
 CONDITION_TOL = 1e-9
+AGREEMENT_TOL = 1e-10  # apply routes against the explicit basis, relative to max(1, ||x||)
 
 MIN_SAMPLE_S = 1e-3  # shortest timing sample; faster calls are looped
 
@@ -68,15 +69,8 @@ class SimulationReport:
     replicates: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_W": self.mean_W.tolist(),
-            "cov_W": self.cov_W.tolist(),
-            "cov_R": self.cov_R.tolist(),
-            "mean_rss_over_sigma2": self.mean_rss_over_sigma2,
-            "var_rss_over_sigma2": self.var_rss_over_sigma2,
-            "max_ss_identity_error": self.max_ss_identity_error,
-            "replicates": self.replicates,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def verify_theorem6_roots(n: int) -> tuple[float, float]:
@@ -266,8 +260,7 @@ def _apply_routes(n: int, p: int, seed: int) -> tuple[np.ndarray, dict]:
     }
 
 
-def benchmark_apply(n_grid: list[int], p: int, repeats: int,
-                    agreement_tol: float = 1e-10) -> list[dict]:
+def benchmark_apply(n_grid: list[int], p: int, repeats: int) -> list[dict]:
     """Time the three routes to U2^T x and check they agree.
 
     Methods: "explicit" multiplies by the materialized basis (O(n^2)),
@@ -290,7 +283,7 @@ def benchmark_apply(n_grid: list[int], p: int, repeats: int,
         scale = max(1.0, float(np.linalg.norm(x)))
         for method in ("reflect", "closed"):
             err = float(np.max(np.abs(results[method] - results["explicit"])))
-            if err >= agreement_tol * scale:
+            if err >= AGREEMENT_TOL * scale:
                 raise ArithmeticError(
                     f"method {method} disagrees with the explicit basis at n={n}: {err:.3e}"
                 )

@@ -214,6 +214,56 @@ class TestSimulate:
         assert a["cov_W"] == b["cov_W"]
 
 
+    def test_manifest_records_the_seed_used(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORTHORES_SEED", "99")
+        argv = ["simulate", "--n", "6", "--p", "1", "--reps", "5"]
+        _, out = run(capsys, argv)
+        assert out["manifest"]["seed"] == 99
+        _, again = run(capsys, argv + ["--seed", str(out["manifest"]["seed"])])
+        assert again["mean_W"] == out["mean_W"]
+        monkeypatch.delenv("ORTHORES_SEED")
+        assert run(capsys, argv)[1]["manifest"]["seed"] == 0
+        _, checked = run(capsys, ["check", "--n-grid", "5", "--trials", "2"])
+        assert checked["manifest"]["seed"] == 0
+
+
+class TestOptions:
+    """Every option a command accepts is read by it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["indep", "{y}", "--mode", "student", "--rows", "3"],
+        ["indep", "{xy}", "--mode", "general", "--variant", "a"],
+        ["qr", "{xy}", "--policy", "standard", "--signs", "1,1"],
+    ])
+    def test_option_the_mode_ignores(self, tmp_path, capsys, argv):
+        files = {"{y}": write_csv(tmp_path / "y.csv", [[1.0], [2.0], [4.0], [3.0]]),
+                 "{xy}": write_csv(tmp_path / "xy.csv",
+                                   [[1.0, 0.5, 2.0], [1.0, -1.0, 0.0], [1.0, 2.0, 1.0],
+                                    [1.0, 0.0, 3.0]])}
+        assert main([files.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["qr", "x.csv"],
+        ["residuals", "x.csv"],
+        ["simulate", "--n", "6", "--p", "1", "--reps", "5"],
+        ["bench", "--n-grid", "30,60", "--p", "2", "--repeats", "1"],
+    ])
+    def test_tol_rejected_where_unread(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-300"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_tol_read_by_indep_and_check(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [4.0], [3.0]])
+        assert main(["indep", path, "--mode", "student", "--tol", "0"]) == 4
+        assert capsys.readouterr().out == ""
+        code, out = run(capsys, ["check", "--n-grid", "5", "--trials", "2", "--tol", "0"])
+        assert code == 5
+        assert "oracle_max_error" in out["failures"]
+
+
 class TestCheck:
     def test_default_passes(self, capsys):
         code, out = run(capsys, ["check", "--n-grid", "5,20", "--trials", "20",

@@ -222,6 +222,29 @@ class TestSignFix:
         sv = np.linalg.svd(np.diag(d) @ C - X[:p], compute_uv=False)
         assert sv[-1] > 1e-12 * np.linalg.norm(C)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n,rows", [
+        (2, (1,)), (5, (0, 4)), (9, (2, 5, 8)), (20, (0, 3, 7, 11, 19)),
+        (60, (1, 8, 13, 22, 30, 41, 50, 57)),
+    ])
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_reproduces_the_selection_standard_signs(self, n, rows, scale, intercept):
+        """sign_fix turns the T of X into the T of X with the selected rows
+        first, and keeps the latter.  X has continuous entries: in an
+        integer-valued design a pivot base can be exactly 0, both signs are
+        then valid, and sign_fix picks +1 where Householder may pick -1."""
+        p = len(rows)
+        rng = np.random.default_rng(n * 7 + p)
+        X = scale * rng.standard_normal((n, p))
+        if intercept:
+            X[:, 0] = scale
+        sel = RowSelection(rows)
+        T = householder_qr(X).T
+        T_sel = qr_for_selection(X, sel).T
+        d = sign_fix(T, X, sel)
+        assert np.max(np.abs(d[:, None] * T - T_sel)) <= 1e-13 * np.max(np.abs(T))
+        np.testing.assert_array_equal(sign_fix(T_sel, X, sel), np.ones(p))
+
 
 class TestOrthocomplementApply:
     X = np.ones((4, 1))
