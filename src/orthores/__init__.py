@@ -9,7 +9,6 @@ from .core import (
     HouseholderQR,
     RankDeficiencyError,
     SignPolicy,
-    apply_Q,
     apply_Qt,
     apply_reflection,
     explicit_orthocomplement_basis,

@@ -98,6 +98,14 @@ def parse_policy(name: str, custom: str | None) -> SignPolicy:
         raise CliError(EXIT_INPUT, f"bad --signs value for custom policy: {exc}")
 
 
+def tolerance(text: str) -> float:
+    """A --tol value: finite and >= 0, since a NaN tolerance passes every check."""
+    tol = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -140,7 +148,8 @@ def cmd_qr(args) -> None:
     qr = householder_qr(X, parse_policy(args.policy, args.signs))
     emit(args, {
         "T": qr.T.tolist(),
-        "reflector_norms": [float(np.sqrt(w)) for w in qr.vnorm2],
+        # ||v_k|| for the reflector v_k = -tau_k T_kk u_k
+        "reflector_norms": (np.abs(qr.T.diagonal()) * np.sqrt(2.0 * qr.tau)).tolist(),
         "rank_count": rank_count(qr, X),
     })
 
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write JSON here instead of stdout")
     tol = argparse.ArgumentParser(add_help=False)  # for the commands that check identities
-    tol.add_argument("--tol", type=float, default=1e-10,
+    tol.add_argument("--tol", type=tolerance, default=1e-10,
                      help="tolerance for internal identity checks")
 
     p = sub.add_parser("qr", parents=[out], help="Householder factorization of a CSV matrix")
@@ -370,7 +379,7 @@ def main(argv=None) -> int:
         code, message = EXIT_RANK, str(exc)
     except ValueError as exc:  # input the library rejected; LinAlgError is one
         code, message = EXIT_INPUT, str(exc)
-    except ArithmeticError as exc:  # an internal identity check failed
+    except ArithmeticError as exc:  # an identity check failed, or S is singular
         code, message = EXIT_IDENTITY, str(exc)
     else:
         return 0

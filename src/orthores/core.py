@@ -1,18 +1,17 @@
 """Dense Householder-reflection machinery and QR factorization.
 
-All matrices are plain float64 numpy arrays in row-major order.  Reflectors
-are stored full length with leading zeros; a reflector may be exactly the
-zero vector, in which case the corresponding reflection is the identity.
+All matrices are plain float64 numpy arrays in row-major order.  A
+factorization keeps its reflectors in LAPACK's ``dgeqrf`` layout (see
+HouseholderQR) and applies them with one ``dormqr`` call.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg.lapack import dgeqrt, dormqr
 
 # Pivot tail below this fraction of ||X||_F means the column is linearly
 # dependent on the previous ones.
@@ -73,21 +72,23 @@ TO_POSITIVE = SignPolicy("to-positive")
 
 @dataclass(frozen=True)
 class HouseholderQR:
-    """Implicit product of p reflections with the triangular factor T.
+    """Implicit product H_1 ... H_p of p reflections with the triangular factor T.
 
-    ``reflectors[k]`` is v_{k+1}, zero in its first k components; ``vnorm2``
-    caches ||v||^2 (0.0 marks an identity reflection).
+    H_k = I - tau[k] u_k u_k^T, where u_k is zero above its unit entry k and
+    ``packed[k + 1:, k]`` below it: LAPACK's ``dgeqrf`` layout, n x p in
+    Fortran order, whose entries on and above the diagonal are not read.
+    tau[k] = 0 marks an identity reflection.
     """
 
     n: int
     p: int
-    reflectors: tuple[np.ndarray, ...]
-    vnorm2: tuple[float, ...]
+    packed: np.ndarray
+    tau: np.ndarray
     T: np.ndarray
 
     @property
     def nonzero_reflector_count(self) -> int:
-        return sum(1 for w in self.vnorm2 if w > 0.0)
+        return int(np.count_nonzero(self.tau))
 
 
 def make_reflector(x, k: int, sign: int) -> np.ndarray:
@@ -131,8 +132,8 @@ def apply_reflection(v, x) -> np.ndarray:
 def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     """Factor X as H_1 ... H_p [T; 0] with T upper triangular.
 
-    Under the standard policy this is one LAPACK ``dgeqrt`` call, converted
-    to the same reflectors; other policies build each reflector in a loop.
+    Under the standard policy this is one LAPACK ``dgeqrt`` call; other
+    policies build each reflector in a loop that stores it in the same layout.
     Raises RankDeficiencyError when a pivot tail norm falls below
     RANK_TOL * ||X||_F.
     """
@@ -147,21 +148,20 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         return _standard_qr(X, scale)
     signs = policy.signs or (-1,) * p
     A = X.copy()
-    reflectors = []
-    vnorm2 = []
+    packed = np.zeros((n, p), order="F")
+    tau = np.zeros(p)
     for k in range(p):
         norm = float(np.linalg.norm(A[k:, k]))
         if norm <= RANK_TOL * scale:
             raise _rank_deficiency(k, norm)
         v = make_reflector(A[:, k], k + 1, signs[k])
         vn2 = float(v @ v)
-        if vn2 > 0.0:
+        if vn2 > 0.0:  # then v[k] != 0: make_reflector returns v = 0 where it cancels
             A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
+            packed[k + 1:, k] = v[k + 1:] / v[k]
+            tau[k] = 2.0 * v[k] ** 2 / vn2
         A[k + 1:, k] = 0.0  # with v = 0 (H_k = I) this drops the sub-diagonal dust
-        reflectors.append(v)
-        vnorm2.append(vn2)
-    T = np.triu(A[:p, :p])
-    return HouseholderQR(n=n, p=p, reflectors=tuple(reflectors), vnorm2=tuple(vnorm2), T=T)
+    return HouseholderQR(n=n, p=p, packed=packed, tau=tau, T=np.triu(A[:p, :p]))
 
 
 def _rank_deficiency(k: int, norm: float) -> RankDeficiencyError:
@@ -170,88 +170,63 @@ def _rank_deficiency(k: int, norm: float) -> RankDeficiencyError:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_mask(p: int) -> np.ndarray:
-    """Read-only mask of the upper triangle (with the diagonal) of a p x p matrix."""
-    mask = np.triu(np.ones((p, p), dtype=bool))
-    mask.flags.writeable = False
-    return mask
-
-
 def _standard_qr(X: np.ndarray, scale: float) -> HouseholderQR:
-    """Standard-sign factorization from LAPACK's H_k = I - tau_k u_k u_k^T.
+    """Standard-sign factorization: LAPACK's H_k = I - tau_k u_k u_k^T.
 
     dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm), the standard sign;
-    adding 0.0 turns a -0.0 pivot, for which it picks +, into +0.0.  Then
-    v_k = -tau_k T_kk u_k.  A zero tail gives tau_k = 0 (H_k = I) where the
-    standard reflector is v_k = 2 T_kk e_k, which only negates row k of T.
+    adding 0.0 turns a -0.0 pivot, for which it picks +, into +0.0.  A zero
+    tail gives tau_k = 0 (H_k = I) where the standard reflection is
+    I - 2 e_k e_k^T, which only negates row k of T.  dgeqrf writes the same
+    layout, but took 8 ms against 0.05 ms at 2000x6 (2-core VM, 2 BLAS threads).
     """
     n, p = X.shape
     a, wy, _ = dgeqrt(p, np.add(X, 0.0, order="F"), overwrite_a=True)  # info < 0 needs p > n
-    diag = a.diagonal().tolist()
-    for k, t in enumerate(diag):  # |T_kk| is the pivot tail norm; stop at the first small one
+    tau = wy.diagonal().copy()  # the block factor's diagonal; the rest of it is not kept
+    for k, t in enumerate(a.diagonal().tolist()):  # |T_kk| is the pivot tail norm
         if abs(t) <= RANK_TOL * scale:
             raise _rank_deficiency(k, abs(t))
-    tau = wy.diagonal().tolist()
-    identity = [k for k, t in enumerate(tau) if t == 0.0]
-    coef = np.array([2.0 * d if t == 0.0 else -t * d for d, t in zip(diag, tau)])
-    up = _upper_mask(p)
-    T = np.where(up, a[:p], 0.0)
-    if identity:
-        T[identity] = 0.0 - T[identity]  # 0.0 - keeps the zeros positive
-    V = a.T.copy()  # row k: u_k below its unit entry; T^T in the leading block
-    V[:, :p][up.T] = 0.0
-    V.ravel()[::n + 1] = 1.0  # the unit entries u_kk, at flat index k (n + 1)
-    V *= coef[:, None]
-    vnorm2 = np.einsum("ij,ij->i", V, V)
-    return HouseholderQR(n=n, p=p, reflectors=tuple(V), vnorm2=tuple(vnorm2.tolist()), T=T)
+    for k, t in enumerate(tau.tolist()):
+        if t == 0.0:  # u_k is zero below the diagonal already
+            a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
+            tau[k] = 2.0
+    return HouseholderQR(n=n, p=p, packed=a, tau=tau, T=np.triu(a[:p]))
 
 
-def _reflect_all(qr: HouseholderQR, x, steps) -> np.ndarray:
-    """Apply the reflections given as (v, ||v||^2) pairs in ``steps``, in order."""
-    x = as_vector(x)
-    if x.size != qr.n:
-        raise ValueError(f"vector length {x.size} != n = {qr.n}")
-    y = x.copy()
-    for v, vn2 in steps:
-        if vn2 > 0.0:
-            y -= (2.0 * (v @ y) / vn2) * v
-    return y
+def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:
+    """H_1 ... H_p C (trans "N") or H_p ... H_1 C ("T"), C n x m and left unchanged."""
+    # workspace >= the columns of C (1 or p); from p of about 70 it lets dormqr block the update
+    return dormqr("L", trans, qr.packed, qr.tau, C, 64 * qr.p)[0]
 
 
 def apply_Qt(qr: HouseholderQR, x) -> np.ndarray:
     """Apply H_p ... H_1 (= U^T) to x in O(np) operations."""
-    return _reflect_all(qr, x, zip(qr.reflectors, qr.vnorm2))
-
-
-def apply_Q(qr: HouseholderQR, x) -> np.ndarray:
-    """Apply H_1 ... H_p (= U) to x; inverse of apply_Qt."""
-    return _reflect_all(qr, x, zip(reversed(qr.reflectors), reversed(qr.vnorm2)))
+    x = as_vector(x)
+    if x.size != qr.n:
+        raise ValueError(f"vector length {x.size} != n = {qr.n}")
+    return _dormqr(qr, "T", x[:, None])[:, 0]
 
 
 def reconstruct(qr: HouseholderQR) -> np.ndarray:
-    """Rebuild X = H_1 ... H_p [T; 0] in one pass over the reflectors."""
-    A = np.zeros((qr.n, qr.p))
+    """Rebuild X = H_1 ... H_p [T; 0]."""
+    A = np.zeros((qr.n, qr.p), order="F")
     A[:qr.p] = qr.T
-    for k in reversed(range(qr.p)):  # reflector k is zero in rows < k, where columns < k end
-        v, vn2 = qr.reflectors[k], qr.vnorm2[k]
-        if vn2 > 0.0:
-            A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
-    return A
+    return _dormqr(qr, "N", A)
 
 
 def explicit_orthocomplement_basis(qr: HouseholderQR) -> np.ndarray:
     """Materialize U_2, the last n-p columns of H_1 ... H_p.
 
     This is the O(n^2 p) brute-force route, kept as the oracle for the
-    closed-formula orthocomplement action.
+    closed-formula orthocomplement action; it applies the reflections in
+    its own loop, not through LAPACK.
     """
     n, p = qr.n, qr.p
     if p >= n:
         raise ValueError("orthocomplement is empty when p = n")
     M = np.zeros((n, n - p))
     M[p:, :] = np.eye(n - p)
-    for v, vn2 in zip(reversed(qr.reflectors), reversed(qr.vnorm2)):
-        if vn2 > 0.0:
-            M -= np.outer(v, (2.0 / vn2) * (v @ M))
+    for k in reversed(range(p)):  # u_k is zero above row k
+        if qr.tau[k] != 0.0:
+            u = np.concatenate(([1.0], qr.packed[k + 1:, k]))
+            M[k:] -= np.outer(qr.tau[k] * u, u @ M[k:])
     return M

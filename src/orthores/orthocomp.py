@@ -24,7 +24,7 @@ ORTHO_TOL = 1e-8
 RANK_SV_TOL = 1e-10
 
 
-class SingularMatrixError(Exception):
+class SingularMatrixError(ArithmeticError):
     """A matrix required to be invertible is numerically singular."""
 
 

@@ -59,6 +59,16 @@ class TestQr:
         assert main(["qr", path]) == 4
         assert capsys.readouterr().out == ""
 
+    def test_to_positive_reflector_norms(self, tmp_path, capsys):
+        # the matrix and the squared norms pinned for the reflector loop
+        X = [[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [-1.0, 0.25, 4.0], [3.0, 1.0, 1.0]]
+        code, out = run(capsys, ["qr", write_csv(tmp_path / "x.csv", X), "--policy", "to-positive"])
+        assert code == 0
+        np.testing.assert_allclose(
+            out["reflector_norms"],
+            np.sqrt([14.508066615170332, 7.8457576859634495, 10.209341422112002]),
+            rtol=1e-15, atol=0.0)
+
 
 class TestReadCsv:
     @pytest.mark.parametrize("text, expected", [
@@ -188,6 +198,22 @@ class TestIndep:
         assert len(counted) == calls
         assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
 
+    def test_badly_scaled_design_exits_cleanly(self, tmp_path, capsys):
+        # X = [1, 1e5 z1, 1e-5 z2] has condition number about 1e10
+        z = np.random.default_rng(0).standard_normal((30, 3))
+        data = np.column_stack([np.ones(30), 1e5 * z[:, 0], 1e-5 * z[:, 1], z[:, 2]])
+        path = write_csv(tmp_path / "s.csv", [[repr(float(c)) for c in row] for row in data])
+        assert main(["indep", path, "--mode", "general"]) in (0, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_singular_s_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(orthocomp, "_svd_rank", lambda M: 0)
+        rng = np.random.default_rng(3)
+        data = np.column_stack([np.ones(10), rng.standard_normal((10, 2))])
+        path = write_csv(tmp_path / "g.csv", data.round(8).tolist())
+        assert main(["indep", path, "--mode", "general"]) == 4
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
     def test_smoke(self, capsys):
@@ -262,6 +288,17 @@ class TestOptions:
         code, out = run(capsys, ["check", "--n-grid", "5", "--trials", "2", "--tol", "0"])
         assert code == 5
         assert "oracle_max_error" in out["failures"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("argv", [
+        ["indep", "y.csv", "--mode", "student"],
+        ["check", "--n-grid", "5", "--trials", "2"],
+    ])
+    def test_tol_finite_and_non_negative(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCheck:

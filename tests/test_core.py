@@ -84,17 +84,17 @@ class TestHouseholderQR:
     def test_single_column(self):
         qr = householder_qr([[3.0], [4.0]])
         np.testing.assert_allclose(qr.T, [[-5.0]])
-        np.testing.assert_allclose(qr.reflectors[0], [8.0, 4.0])
+        _assert_reflection(qr, 0, [8.0, 4.0])
         np.testing.assert_allclose(reconstruct(qr), [[3.0], [4.0]], rtol=1e-12)
 
     def test_ones_column(self):
         qr = householder_qr(np.ones((4, 1)))
         np.testing.assert_allclose(qr.T, [[-2.0]])
-        np.testing.assert_allclose(qr.reflectors[0], [3.0, 1.0, 1.0, 1.0])
+        _assert_reflection(qr, 0, [3.0, 1.0, 1.0, 1.0])
 
     def test_custom_identity_reflection(self):
         qr = householder_qr([[1.0], [0.0], [0.0]], SignPolicy.custom([-1]))
-        assert qr.vnorm2[0] == 0.0
+        assert qr.tau[0] == 0.0
         np.testing.assert_allclose(qr.T, [[1.0]])
 
     def test_rank_deficiency(self):
@@ -121,8 +121,26 @@ class TestHouseholderQR:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((12, 5))
         qr = householder_qr(X)
-        for k, v in enumerate(qr.reflectors):
-            assert np.all(v[:k] == 0.0)
+        for k in range(5):  # H_k leaves components 1..k alone
+            H = _reflection(qr, k)
+            np.testing.assert_array_equal(H[:k], np.eye(12)[:k])
+            np.testing.assert_array_equal(H[:, :k], np.eye(12)[:, :k])
+
+
+def _reflection(qr, k):
+    """I - tau_k u_k u_k^T, reflection k of qr as an n x n matrix."""
+    u = np.zeros(qr.n)
+    u[k] = 1.0
+    u[k + 1:] = qr.packed[k + 1:, k]
+    return np.eye(qr.n) - qr.tau[k] * np.outer(u, u)
+
+
+def _assert_reflection(qr, k, v):
+    """Reflection k of qr is I - 2 v v^T / v.v (I for v = 0) within 1e-15."""
+    v = np.asarray(v, dtype=float)
+    vn2 = v @ v
+    H = np.eye(v.size) - (2.0 / vn2) * np.outer(v, v) if vn2 > 0.0 else np.eye(v.size)
+    np.testing.assert_allclose(_reflection(qr, k), H, rtol=0.0, atol=1e-15)
 
 
 def _same_sign_loop(X):
@@ -133,11 +151,11 @@ def _same_sign_loop(X):
 
 
 def _assert_agree(qr, loop, X):
-    """T, reflectors and ||v||^2 within 1e-13 relative to ||X|| (||X||^2)."""
+    """T within 1e-13 relative to ||X||, and each reflection matrix within 1e-13."""
     scale = np.linalg.norm(X)
     assert np.max(np.abs(qr.T - loop.T)) <= 1e-13 * scale
-    assert np.max(np.abs(np.array(qr.reflectors) - np.array(loop.reflectors))) <= 1e-13 * scale
-    assert np.max(np.abs(np.subtract(qr.vnorm2, loop.vnorm2))) <= 1e-13 * scale**2
+    for k in range(qr.p):
+        assert np.max(np.abs(_reflection(qr, k) - _reflection(loop, k))) <= 1e-13
 
 
 class TestStandardAgainstLoop:
@@ -172,7 +190,7 @@ class TestStandardAgainstLoop:
         qr = householder_qr(np.eye(3))
         np.testing.assert_array_equal(qr.T, -np.eye(3))
         assert not np.signbit(qr.T[np.triu_indices(3, 1)]).any()
-        assert qr.vnorm2 == (4.0, 4.0, 4.0)
+        assert qr.tau.tolist() == [2.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE])
     def test_first_dependent_column_is_named(self, policy):
@@ -204,18 +222,54 @@ class TestLoopPolicies:
             [3.872983346207417, 0.9682458365518545, -0.5163977794943224],
             [0.0, 3.181980515339464, -1.257078722109418],
             [0.0, 0.0, 4.404893462928824]])
-        np.testing.assert_array_equal(qr.reflectors, [
-            [-1.872983346207417, 1.0, -1.0, 3.0],
-            [0.0, -1.2328418807313843, 1.3008613653919205, -2.1525840961757616],
-            [0.0, 0.0, -1.1588636034029967, 2.977646146005234]])
-        assert qr.vnorm2 == (14.508066615170332, 7.8457576859634495, 10.209341422112002)
+        for k, v in enumerate([
+                [-1.872983346207417, 1.0, -1.0, 3.0],
+                [0.0, -1.2328418807313843, 1.3008613653919205, -2.1525840961757616],
+                [0.0, 0.0, -1.1588636034029967, 2.977646146005234]]):
+            _assert_reflection(qr, k, v)
 
     def test_custom_with_identity_reflection(self):
         qr = householder_qr([[1.0, 2.0], [0.0, 1.0], [0.0, 1.0]], SignPolicy.custom([-1, 1]))
         np.testing.assert_array_equal(qr.T, [[1.0, 2.0], [0.0, -1.414213562373095]])
-        np.testing.assert_array_equal(qr.reflectors, [[0.0, 0.0, 0.0],
-                                                      [0.0, 2.414213562373095, 1.0]])
-        assert qr.vnorm2 == (0.0, 6.82842712474619)
+        assert qr.tau[0] == 0.0
+        _assert_reflection(qr, 0, [0.0, 0.0, 0.0])
+        _assert_reflection(qr, 1, [0.0, 2.414213562373095, 1.0])
+
+
+def _loop_cases():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((40, 5))
+    return [
+        (np.eye(6)[:, :2], TO_POSITIVE),  # two identity reflections
+        (np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 1.0]]), SignPolicy.custom([-1, 1])),
+        (X, TO_POSITIVE),
+        (X, SignPolicy.custom([1, -1, -1, 1, 1])),
+    ]
+
+
+class TestLoopApplies:
+    """dormqr applied to the layout the to-positive/custom loop writes."""
+
+    @pytest.mark.parametrize("X,policy", _loop_cases())
+    def test_reconstruct(self, X, policy):
+        qr = householder_qr(X, policy)
+        assert np.max(np.abs(reconstruct(qr) - X)) <= 1e-13 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("X,policy", _loop_cases())
+    def test_columns_map_to_triangular(self, X, policy):
+        qr = householder_qr(X, policy)
+        n, p = X.shape
+        for j in range(p):
+            expected = np.concatenate([qr.T[:, j], np.zeros(n - p)])
+            assert np.max(np.abs(apply_Qt(qr, X[:, j]) - expected)) <= 1e-13 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("X,policy", _loop_cases())
+    def test_tail_matches_the_oracle(self, X, policy):
+        qr = householder_qr(X, policy)
+        x = np.random.default_rng(18).standard_normal(X.shape[0])
+        np.testing.assert_allclose(apply_Qt(qr, x)[X.shape[1]:],
+                                   explicit_orthocomplement_basis(qr).T @ x,
+                                   rtol=0.0, atol=1e-13 * np.linalg.norm(x))
 
 
 class TestApplyQt:

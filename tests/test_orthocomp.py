@@ -360,7 +360,7 @@ class TestRankCount:
     def test_violation_is_arithmetic_error(self):
         # one zero reflector, but T - X^(1) = [[-3]] has rank 1
         X = np.ones((4, 1))
-        qr = HouseholderQR(n=4, p=1, reflectors=(np.zeros(4),), vnorm2=(0.0,),
+        qr = HouseholderQR(n=4, p=1, packed=np.zeros((4, 1), order="F"), tau=np.zeros(1),
                            T=np.array([[-2.0]]))
         with pytest.raises(ArithmeticError, match="rank formula violated"):
             rank_count(qr, X)
