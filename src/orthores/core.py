@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dgeqrt, dormqr
 
-# Pivot tail below this fraction of ||X||_F means the column is linearly
-# dependent on the previous ones.
+# Pivot tail below this fraction of ||x_k|| means column k is linearly dependent
+# on the previous ones (per column, so the scale of each column cancels).
 RANK_TOL = 1e-12
 
 # Relative threshold under which the pivot cancellation is treated as exact,
@@ -134,8 +134,8 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
 
     Under the standard policy this is one LAPACK ``dgeqrt`` call; other
     policies build each reflector in a loop that stores it in the same layout.
-    Raises RankDeficiencyError when a pivot tail norm falls below
-    RANK_TOL * ||X||_F.
+    Raises RankDeficiencyError at the first column k whose pivot tail norm
+    falls below RANK_TOL * ||x_k||.
     """
     X = as_matrix(X)
     n, p = X.shape
@@ -143,16 +143,16 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         raise ValueError(f"need p <= n, got {n}x{p}")
     if policy.kind == "custom" and len(policy.signs) != p:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
-    scale = float(np.linalg.norm(X))
     if policy.kind == "standard":
-        return _standard_qr(X, scale)
+        return _standard_qr(X)
     signs = policy.signs or (-1,) * p
+    col_norms = np.hypot.reduce(X, axis=0).tolist()  # ||x_k||, with no overflow near 1e200
     A = X.copy()
     packed = np.zeros((n, p), order="F")
     tau = np.zeros(p)
     for k in range(p):
         norm = float(np.linalg.norm(A[k:, k]))
-        if norm <= RANK_TOL * scale:
+        if norm <= RANK_TOL * col_norms[k]:
             raise _rank_deficiency(k, norm)
         v = make_reflector(A[:, k], k + 1, signs[k])
         vn2 = float(v @ v)
@@ -161,7 +161,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
             packed[k + 1:, k] = v[k + 1:] / v[k]
             tau[k] = 2.0 * v[k] ** 2 / vn2
         A[k + 1:, k] = 0.0  # with v = 0 (H_k = I) this drops the sub-diagonal dust
-    return HouseholderQR(n=n, p=p, packed=packed, tau=tau, T=np.triu(A[:p, :p]))
+    return HouseholderQR(n=n, p=p, packed=packed, tau=tau, T=A[:p].copy())
 
 
 def _rank_deficiency(k: int, norm: float) -> RankDeficiencyError:
@@ -170,7 +170,7 @@ def _rank_deficiency(k: int, norm: float) -> RankDeficiencyError:
     )
 
 
-def _standard_qr(X: np.ndarray, scale: float) -> HouseholderQR:
+def _standard_qr(X: np.ndarray) -> HouseholderQR:
     """Standard-sign factorization: LAPACK's H_k = I - tau_k u_k u_k^T.
 
     dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm), the standard sign;
@@ -182,14 +182,17 @@ def _standard_qr(X: np.ndarray, scale: float) -> HouseholderQR:
     n, p = X.shape
     a, wy, _ = dgeqrt(p, np.add(X, 0.0, order="F"), overwrite_a=True)  # info < 0 needs p > n
     tau = wy.diagonal().copy()  # the block factor's diagonal; the rest of it is not kept
-    for k, t in enumerate(a.diagonal().tolist()):  # |T_kk| is the pivot tail norm
-        if abs(t) <= RANK_TOL * scale:
-            raise _rank_deficiency(k, abs(t))
+    T = a[:p].copy()  # below its diagonal a holds the reflectors
     for k, t in enumerate(tau.tolist()):
+        T[k, :k] = 0.0
         if t == 0.0:  # u_k is zero below the diagonal already
-            a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
+            T[k, k:] = 0.0 - T[k, k:]  # 0.0 - keeps the zeros positive
             tau[k] = 2.0
-    return HouseholderQR(n=n, p=p, packed=a, tau=tau, T=np.triu(a[:p]))
+    col_norms = np.hypot.reduce(T, axis=0).tolist()  # ||x_k||; row signs do not move it
+    for k, t in enumerate(T.diagonal().tolist()):  # |T_kk| is the pivot tail norm
+        if abs(t) <= RANK_TOL * col_norms[k]:
+            raise _rank_deficiency(k, abs(t))
+    return HouseholderQR(n=n, p=p, packed=a, tau=tau, T=T)
 
 
 def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dtrtrs
 
 from .core import STANDARD, HouseholderQR, SignPolicy, as_matrix, as_vector, householder_qr
 
@@ -132,19 +133,20 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     """S = (T - X^(p))^-1 from a standard-sign factorization.
 
     ``qr`` must come from X with the selected rows permuted to the front
-    (see qr_for_selection).  Raises SingularMatrixError when T - X^(p) is
-    singular, which cannot happen under the standard sign policy.
+    (see qr_for_selection).  By the rank formula, T - X^(p) is singular
+    exactly when a reflector is zero; that, a zero LU pivot or a non-finite S
+    raises SingularMatrixError.  No tolerance, so S(XD) = D^-1 S(X).
     """
     X = as_matrix(X)
     n, p = X.shape
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
     sel = _selection(sel, p)
-    head = X[sel.rows(n)]
-    M = qr.T - head
-    if _svd_rank(M) < p:
+    if qr.nonzero_reflector_count < p:  # the rank formula
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
-    S = np.linalg.solve(M, np.eye(p))
+    _, _, S, info = dgesv(qr.T - X[sel.rows(n)], np.eye(p))
+    if info > 0 or not np.isfinite(S).all():  # info < 0 (a bad argument) needs non-square
+        raise SingularMatrixError("T - X^(p) is numerically singular")
     return SProjector(p=p, S=S, rank=p, source="from-t")
 
 
@@ -239,12 +241,13 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
 
 
 def rank_count(qr: HouseholderQR, X) -> int:
-    """Count nonzero reflectors; asserted equal to rank(T - X^(p))."""
+    """Count nonzero reflectors; asserted equal to the numerical rank of
+    (T - X^(p)) T^-1 = I - Q11, in which column scale cancels."""
     X = as_matrix(X)
     if qr.n != X.shape[0] or qr.p != X.shape[1]:
         raise ValueError("factorization shape does not match X")
     nz = qr.nonzero_reflector_count
-    est = _svd_rank(qr.T - X[:qr.p])
+    est = _svd_rank(dtrtrs(qr.T, (qr.T - X[:qr.p]).T, trans=1)[0].T)
     if nz != est:
         raise ArithmeticError(
             f"rank formula violated: {nz} nonzero reflectors vs numerical rank {est}"

@@ -17,6 +17,7 @@ from scipy.linalg.lapack import dtrtrs
 from .core import STANDARD, HouseholderQR, apply_Qt, as_matrix, as_vector, householder_qr
 from .orthocomp import RowSelection, SProjector, _apply_s, _selection
 
+# Normal equations: |x_k^T R| <= XTR_TOL ||x_k|| ||Y|| for each column, scale-free.
 XTR_TOL = 1e-8
 
 # Threshold on the p = 2 variant-(a) determinant below which the rank-one
@@ -77,9 +78,9 @@ def fit_least_squares(X, Y) -> RegressionFit:
     # info > 0 (a zero T_kk) cannot follow householder_qr's rank check
     beta, _ = dtrtrs(qr.T.T, z, lower=1, trans=1)
     R = Y - X @ beta
-    resid_err = float(np.max(np.abs(X.T @ R)))
-    if resid_err >= XTR_TOL * max(float(np.linalg.norm(Y)), 1.0):
-        raise ArithmeticError(f"normal-equation residual too large: {resid_err:.3e}")
+    err = np.abs(X.T @ R) / np.hypot.reduce(qr.T, axis=0)  # ||T e_k|| = ||x_k||
+    if not (err <= XTR_TOL * np.linalg.norm(Y)).all():  # a NaN fails too
+        raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
     return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
 
 

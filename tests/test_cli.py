@@ -53,6 +53,20 @@ class TestQr:
         code, out = run(capsys, ["qr", path])
         assert code == 0 and out["T"] == [[-2.0]]
 
+    def test_badly_scaled_design_keeps_the_rank_formula(self, tmp_path, capsys):
+        # X = [1, 1e5 z1, 1e-5 z2]: T - X^(p) has columns 10 orders apart
+        for seed in range(40):
+            z = np.random.default_rng(seed).standard_normal((30, 2))
+            X = np.column_stack([np.ones(30), 1e5 * z[:, 0], 1e-5 * z[:, 1]])
+            path = write_csv(tmp_path / "s.csv", [[repr(float(c)) for c in row] for row in X])
+            code, out = run(capsys, ["qr", path])
+            assert code == 0 and out["rank_count"] == 3, seed
+
+    def test_entries_near_1e200(self, tmp_path, capsys):
+        X = [[1.0, 1e200], [1.0, -2e200], [1.0, 4e200], [1.0, 0.0]]
+        code, out = run(capsys, ["qr", write_csv(tmp_path / "x.csv", X)])
+        assert code == 0 and out["rank_count"] == 2
+
     def test_rank_formula_violation(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(orthocomp, "_svd_rank", lambda M: 0)
         path = write_csv(tmp_path / "x.csv", [[1.0]] * 4)
@@ -206,8 +220,24 @@ class TestIndep:
         assert main(["indep", path, "--mode", "general"]) in (0, 4)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_badly_scaled_design_matches_unscaled(self, tmp_path, capsys):
+        # W depends on col(X) only, so rescaling columns of X leaves it alone
+        for seed in range(40):
+            z = np.random.default_rng(seed).standard_normal((30, 3))
+            W = []
+            for d in ([1.0, 1.0, 1.0, 1.0], [1.0, 1e5, 1e-5, 1.0]):  # y last, unscaled
+                data = np.column_stack([np.ones(30), z]) * d
+                path = write_csv(tmp_path / "s.csv",
+                                 [[repr(float(c)) for c in row] for row in data])
+                code, out = run(capsys, ["indep", path, "--mode", "general"])
+                assert code == 0, seed
+                W.append(np.array(out["W"]))
+            assert np.linalg.norm(W[1] - W[0]) <= 1e-12 * np.linalg.norm(W[0]), seed
+
     def test_singular_s_exits_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(orthocomp, "_svd_rank", lambda M: 0)
+        # dgesv's true S, but info = 1: a zero pivot in the LU of T - X^(p)
+        true_dgesv = orthocomp.dgesv
+        monkeypatch.setattr(orthocomp, "dgesv", lambda a, b: (*true_dgesv(a, b)[:3], 1))
         rng = np.random.default_rng(3)
         data = np.column_stack([np.ones(10), rng.standard_normal((10, 2))])
         path = write_csv(tmp_path / "g.csv", data.round(8).tolist())

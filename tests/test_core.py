@@ -200,6 +200,15 @@ class TestStandardAgainstLoop:
         with pytest.raises(RankDeficiencyError, match="column 3"):
             householder_qr(X, policy)
 
+    @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE])
+    def test_rank_test_is_per_column(self, policy):
+        # a column 1e-13 the size of the others is still independent of them
+        z = np.random.default_rng(0).standard_normal(10)
+        qr = householder_qr(np.column_stack([np.ones(10), 1e-13 * z]), policy)
+        assert np.abs(qr.T.diagonal()).min() > 1e-14
+        with pytest.raises(RankDeficiencyError, match="column 3"):
+            householder_qr(np.column_stack([np.ones(10), z, z]), policy)
+
     def test_standard_policy_skips_the_loop(self, monkeypatch):
         from orthores import core
 

@@ -19,6 +19,7 @@ from orthores import (
     s_recursion,
     sign_fix,
 )
+from orthores import orthocomp
 from orthores.orthocomp import _apply_s
 
 
@@ -90,6 +91,30 @@ class TestSFromQr:
         qr = householder_qr(X, SignPolicy.custom([-1]))
         with pytest.raises(SingularMatrixError):
             s_from_qr(qr, X)
+
+    def test_zero_reflector_by_cancellation_is_singular(self):
+        # column 2 is +e_2 after H_1 up to a 1e-7 tail, so the to-positive
+        # H_2 = I; LU of T - X^(p) then meets a pivot of 2e-16, not 0
+        v = np.ones(3)
+        X = (np.eye(3) - 2.0 * np.outer(v, v) / 3.0) @ [[2.0, 1.0], [0.0, 1.0], [0.0, 1e-7]]
+        qr = householder_qr(X, TO_POSITIVE)
+        assert qr.tau[1] == 0.0
+        with pytest.raises(SingularMatrixError):
+            s_from_qr(qr, X)
+
+    @pytest.mark.parametrize("info, factor", [(1, 1.0), (0, np.inf)])
+    def test_lu_failure_is_singular(self, monkeypatch, info, factor):
+        # a zero LU pivot, or an S that overflowed
+        true_dgesv = orthocomp.dgesv
+
+        def dgesv(a, b):
+            lu, piv, S, _ = true_dgesv(a, b)
+            return lu, piv, factor * S, info
+
+        monkeypatch.setattr(orthocomp, "dgesv", dgesv)
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        with pytest.raises(SingularMatrixError):
+            s_from_qr(householder_qr(X), X)
 
     def test_inverse_residual(self):
         rng = np.random.default_rng(0)

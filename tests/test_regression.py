@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orthores import regression
 from orthores import (
     STANDARD,
     TO_POSITIVE,
@@ -59,6 +62,24 @@ class TestFit:
         with pytest.raises(RankDeficiencyError):
             fit_least_squares(np.ones((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_normal_equation_check_ignores_column_scale(self, seed):
+        # |x^T R| grows with ||x||, so a bound that ignores ||x|| fails here
+        z = np.random.default_rng(seed).standard_normal((50, 2))
+        fit = fit_least_squares(np.column_stack([np.ones(50), 1e8 * z[:, 0]]), z[:, 1])
+        assert np.isfinite(fit.beta_hat).all()
+
+    @pytest.mark.parametrize("error", [1e-6, np.nan])
+    def test_normal_equation_check_catches_a_wrong_beta(self, monkeypatch, error):
+        # columns of norm about 1e-6: a relative beta error of 1e-6 moves
+        # X^T R by only about 1e-12 ||Y||
+        true_dtrtrs = regression.dtrtrs
+        monkeypatch.setattr(regression, "dtrtrs", lambda *a, **kw: (
+            true_dtrtrs(*a, **kw)[0] * (1.0 + error), 0))
+        z = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(ArithmeticError, match="normal-equation"):
+            fit_least_squares(1e-7 * z[:, :2], z[:, 2])
+
     @pytest.mark.parametrize("where", ["X", "Y"])
     def test_non_finite_input(self, where):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
@@ -66,6 +87,34 @@ class TestFit:
         (X if where == "X" else Y)[2, ...] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             fit_least_squares(X, Y)
+
+
+class TestScaleCovariance:
+    """T(XD) = T D gives S(XD) = D^-1 S(X), W(XD, cY) = c W(X, Y) and
+    beta*(XD, cY) = c D^-1 beta*(X, Y) for any positive diagonal D."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           log_d=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6),
+           log_c=st.floats(-8.0, 8.0), skip=st.integers(0, 5))
+    def test_column_and_response_scale(self, p, seed, log_d, log_c, skip):
+        n = p + 1
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((n, p)), rng.standard_normal(n)
+        d, c = 10.0 ** np.array(log_d[:p]), 10.0 ** log_c
+        sel = RowSelection(tuple(i for i in range(n) if i != skip % p))  # ends at row n-1
+
+        def construct(X, Y):
+            sp = s_from_qr(qr_for_selection(X, sel), X, sel)
+            return sp.S, independent_residuals(fit_least_squares(X, Y), sp, sel)
+
+        S, out = construct(X, Y)
+        S_scaled, scaled = construct(X * d, c * Y)
+        row_err = np.linalg.norm(d[:, None] * S_scaled - S, axis=1)
+        assert (row_err <= 1e-12 * np.linalg.norm(S, axis=1)).all()
+        assert np.linalg.norm(scaled.W / c - out.W) <= 1e-12 * np.linalg.norm(Y)
+        beta_err = np.linalg.norm(d * scaled.beta_star / c - out.beta_star)
+        assert beta_err <= 1e-12 * np.linalg.norm(out.beta_star)
 
 
 class TestIndependentResiduals:
