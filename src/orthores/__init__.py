@@ -42,6 +42,7 @@ from .validation import (
     SimulationConfig,
     SimulationReport,
     benchmark_apply,
+    check_battery,
     cheng_matrix,
     idempotent_check,
     monte_carlo,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .core import STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, householder_qr
-from .orthocomp import RowSelection, qr_for_selection, rank_count, s_from_qr
+from .orthocomp import RowSelection, _selection, rank_count, s_from_qr
 from .regression import (
     fit_least_squares,
     independent_residuals,
@@ -25,16 +25,7 @@ from .regression import (
     student_w,
     univariate_w,
 )
-from .validation import (
-    SimulationConfig,
-    benchmark_apply,
-    cheng_matrix,
-    idempotent_check,
-    monte_carlo,
-    oracle_compare,
-    verify_theorem6_roots,
-    verify_theorem7_condition,
-)
+from .validation import SimulationConfig, benchmark_apply, check_battery, monte_carlo
 
 EXIT_INPUT = 2
 EXIT_RANK = 3
@@ -188,13 +179,11 @@ def cmd_indep(args) -> None:
     else:
         if ncols < 2:
             raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
-        X = data[:, :-1]
-        sel = parse_selection(args.rows)
-        p = X.shape[1]
-        # the first p rows need no permutation, so the fit's factorization serves
-        first = sel is None or sel.indices == tuple(range(p))
-        construct = lambda fit: independent_residuals(
-            fit, s_from_qr(fit.qr if first else qr_for_selection(X, sel), X, sel), sel)
+        # the selected rows first and the rest in increasing order, so that one
+        # factorization serves the fit and S, and W keeps the complement's order
+        data = data[_selection(parse_selection(args.rows), ncols - 1).permutation(n)]
+        X, Y = data[:, :-1], data[:, -1]
+        construct = lambda fit: independent_residuals(fit, s_from_qr(fit.qr, X))
     fit = fit_least_squares(X, Y)
     rss = fit.rss
     result = construct(fit)
@@ -224,79 +213,16 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_check(args) -> None:
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
-    failures = []
-
     try:
         n_grid = [int(s) for s in args.n_grid.split(",")]
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"bad --n-grid: {exc}")
     if min(n_grid) < 2:
         raise CliError(EXIT_INPUT, f"--n-grid entries must be at least 2, got {min(n_grid)}")
-
-    oracle_errors = {}
-    for n in n_grid:
-        p = min(5, n - 1)
-        X = rng.standard_normal((n, p))
-        oracle_errors[str(n)] = oracle_compare(X, args.trials, seed + n)
-    oracle_max = max(oracle_errors.values())
-    if oracle_max >= args.tol:
-        failures.append("oracle_max_error")
-
-    roots = {}
-    try:
-        for n in (2, 4, 10, 100):
-            c_plus, c_minus = verify_theorem6_roots(n)
-            roots[str(n)] = [c_plus, c_minus]
-    except ArithmeticError:
-        failures.append("theorem6_roots")
-
-    n7, p7 = 20, 3
-    Xo = np.linalg.qr(rng.standard_normal((n7, p7)))[0]
-    theorem7_pass = True
-    for _ in range(10):
-        Q = np.linalg.qr(rng.standard_normal((p7, p7)))[0]
-        S = np.linalg.inv(Q - Xo[:p7])
-        if not verify_theorem7_condition(S, Xo):
-            theorem7_pass = False
-        if args.inject_fault or verify_theorem7_condition(
-                S + 0.1 * rng.standard_normal((p7, p7)), Xo):
-            theorem7_pass = False
-    if not theorem7_pass:
-        failures.append("theorem7_pass")
-
-    cheng_err = 0.0
-    for n in range(2, 31):
-        M = cheng_matrix(n)
-        cheng_err = max(
-            cheng_err,
-            float(np.max(np.abs(M.T @ M - np.eye(n - 1)))),
-            float(np.max(np.abs(M.T @ np.ones(n)))),
-        )
-    if cheng_err >= args.tol:
-        failures.append("cheng_orthonormality_error")
-
-    idem_pass = True
-    for n in (5, 12):
-        if not idempotent_check(np.eye(n) - np.full((n, n), 1.0 / n)):
-            idem_pass = False
-        if idempotent_check(2.0 * np.eye(n)):
-            idem_pass = False
-    if not idem_pass:
-        failures.append("idempotency_pass")
-
-    emit(args, {
-        "oracle_max_error": oracle_max,
-        "oracle_errors": oracle_errors,
-        "theorem6_roots": roots,
-        "theorem7_pass": theorem7_pass,
-        "cheng_orthonormality_error": cheng_err,
-        "idempotency_pass": idem_pass,
-        "failures": failures,
-    })
-    if failures:
-        raise CliError(EXIT_CHECK, "failed checks: " + ", ".join(failures))
+    report = check_battery(n_grid, args.trials, resolve_seed(args), args.tol)
+    emit(args, report)
+    if report["failures"]:
+        raise CliError(EXIT_CHECK, "failed checks: " + ", ".join(report["failures"]))
 
 
 def cmd_bench(args) -> None:
@@ -353,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="5,20,100")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", parents=[out],

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dtrtrs
+from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
 from .core import STANDARD, HouseholderQR, SignPolicy, as_matrix, as_vector, householder_qr
 
@@ -109,6 +109,17 @@ def _border(S: np.ndarray, M: np.ndarray, k: int,
     return grown, True
 
 
+def _solve(A: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
+    """A^-1 B by one LAPACK dgesv call, with A's LU factors and pivots.
+
+    A zero LU pivot or a non-finite result raises SingularMatrixError.  No
+    tolerance, so scaling a column of A does not move the test."""
+    lu, piv, X, info = dgesv(A, B)
+    if info > 0 or not np.isfinite(X).all():  # info < 0 (a bad argument) needs non-square
+        raise SingularMatrixError(f"{name} is numerically singular")
+    return X, lu, piv
+
+
 def _svd_rank(M: np.ndarray) -> int:
     sv = np.linalg.svd(M, compute_uv=False)  # descending; M = 0 counts no sv > 0
     return int(np.sum(sv > RANK_SV_TOL * sv[0]))
@@ -141,12 +152,10 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     n, p = X.shape
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
-    sel = _selection(sel, p)
+    first = sel is None or _selection(sel, p).indices[-1] == p - 1  # rows 0..p-1
     if qr.nonzero_reflector_count < p:  # the rank formula
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
-    _, _, S, info = dgesv(qr.T - X[sel.rows(n)], np.eye(p))
-    if info > 0 or not np.isfinite(S).all():  # info < 0 (a bad argument) needs non-square
-        raise SingularMatrixError("T - X^(p) is numerically singular")
+    S = _solve(qr.T - (X[:p] if first else X[sel.rows(n)]), np.eye(p), "T - X^(p)")[0]
     return SProjector(p=p, S=S, rank=p, source="from-t")
 
 
@@ -183,11 +192,9 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     n, p = X.shape
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
-    if _svd_rank(C) < p:
-        raise SingularMatrixError("C is singular")
-    Xt = np.linalg.solve(C.T, X.T).T
-    inner = s_recursion(Xt, sel)  # raises ValueError unless Xt is orthonormal
-    S = np.linalg.solve(C, inner.S)
+    Xt, lu, piv = _solve(C.T, X.T, "C")  # (X C^-1)^T, and the LU of C^T
+    inner = s_recursion(Xt.T, sel)  # raises ValueError unless X C^-1 is orthonormal
+    S = dgetrs(lu, piv, inner.S, trans=1)[0]  # C^-1 S from the same LU
     return SProjector(p=p, S=S, rank=inner.rank, source="from-c")
 
 
@@ -196,7 +203,9 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
 
     Greedy per-step choice keeping the growing principal block of
     D - X^(p) C^-1 invertible, with the block-inversion pivot maintained
-    incrementally; O(p^3) total.
+    incrementally; O(p^3) total.  Every pivot is then d_k + base with
+    |d_k + base| = 1 + |base| >= 1, so D C - X^(p) = (D - X^(p) C^-1) C is
+    singular only when C is, which raises SingularMatrixError.
     """
     X = as_matrix(X)
     C = as_matrix(C)
@@ -204,8 +213,7 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
     sel = _selection(sel, p)
-    head = X[sel.rows(n)]
-    M = np.linalg.solve(C.T, head.T).T  # X^(p) C^-1
+    M = _solve(C.T, X[sel.rows(n)].T, "C")[0].T  # X^(p) C^-1
 
     d = np.zeros(p)
     Ainv = np.zeros((0, 0))
@@ -214,11 +222,6 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
         base = -M[k, k] - float(M[k, :k] @ (Ainv @ M[:k, k]))
         d[k] = 1.0 if abs(1.0 + base) >= abs(-1.0 + base) else -1.0
         Ainv, _ = _border(Ainv, M, k, d[k])
-
-    fixed = np.diag(d) @ C - head
-    sv = np.linalg.svd(fixed, compute_uv=False)
-    if sv[-1] <= 1e-12 * float(np.linalg.norm(C)):
-        raise SingularMatrixError("sign fix failed to produce a well-conditioned matrix")
     return d
 
 

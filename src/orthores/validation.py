@@ -163,6 +163,76 @@ def oracle_compare(X, trials: int, seed: int) -> float:
     return worst
 
 
+def check_battery(n_grid: list[int], trials: int, seed: int, tol: float) -> dict:
+    """Run the oracle and theorem verifications and report each figure.
+
+    Covers the closed formula against the explicit basis on an n x min(5, n-1)
+    design for each n in ``n_grid`` (``trials`` vectors each), the Theorem 6
+    roots, the Theorem 7 condition on exact and perturbed S, the Cheng
+    factor's orthonormality and the idempotency test.  ``failures`` lists the
+    keys of the checks that failed; the errors fail at ``tol`` or above.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+
+    oracle_errors = {}
+    for n in n_grid:
+        X = rng.standard_normal((n, min(5, n - 1)))
+        oracle_errors[str(n)] = oracle_compare(X, trials, seed + n)
+    oracle_max = max(oracle_errors.values())
+    if oracle_max >= tol:
+        failures.append("oracle_max_error")
+
+    roots = {}
+    try:
+        for n in (2, 4, 10, 100):
+            roots[str(n)] = list(verify_theorem6_roots(n))
+    except ArithmeticError:
+        failures.append("theorem6_roots")
+
+    n7, p7 = 20, 3
+    Xo = np.linalg.qr(rng.standard_normal((n7, p7)))[0]
+    theorem7_pass = True
+    for _ in range(10):
+        Q = np.linalg.qr(rng.standard_normal((p7, p7)))[0]
+        S = np.linalg.inv(Q - Xo[:p7])
+        perturbed = S + 0.1 * rng.standard_normal((p7, p7))  # must fail the condition
+        if not verify_theorem7_condition(S, Xo) or verify_theorem7_condition(perturbed, Xo):
+            theorem7_pass = False
+    if not theorem7_pass:
+        failures.append("theorem7_pass")
+
+    cheng_err = 0.0
+    for n in range(2, 31):
+        M = cheng_matrix(n)
+        cheng_err = max(
+            cheng_err,
+            float(np.max(np.abs(M.T @ M - np.eye(n - 1)))),
+            float(np.max(np.abs(M.T @ np.ones(n)))),
+        )
+    if cheng_err >= tol:
+        failures.append("cheng_orthonormality_error")
+
+    idem_pass = True
+    for n in (5, 12):
+        if not idempotent_check(np.eye(n) - np.full((n, n), 1.0 / n)):
+            idem_pass = False
+        if idempotent_check(2.0 * np.eye(n)):
+            idem_pass = False
+    if not idem_pass:
+        failures.append("idempotency_pass")
+
+    return {
+        "oracle_max_error": oracle_max,
+        "oracle_errors": oracle_errors,
+        "theorem6_roots": roots,
+        "theorem7_pass": theorem7_pass,
+        "cheng_orthonormality_error": cheng_err,
+        "idempotency_pass": idem_pass,
+        "failures": failures,
+    }
+
+
 def _simulation_design(cfg: SimulationConfig) -> np.ndarray:
     """Deterministic design matrix: intercept column plus, for p > 1,
     standardized predictor columns drawn from a child seed."""

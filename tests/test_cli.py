@@ -190,7 +190,7 @@ class TestIndep:
         assert len(out["W"]) == 8
         assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
 
-    @pytest.mark.parametrize("rows,calls", [(None, 1), ("0,1,2", 1), ("1,4,7", 2)])
+    @pytest.mark.parametrize("rows,calls", [(None, 1), ("0,1,2", 1), ("1,4,7", 1)])
     def test_general_factors_once_without_permutation(self, tmp_path, capsys, monkeypatch,
                                                       rows, calls):
         counted = []
@@ -211,6 +211,35 @@ class TestIndep:
         assert code == 0
         assert len(counted) == calls
         assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
+
+    @pytest.mark.parametrize("rows,message", [
+        ("1,4", "selection has 2 rows, need p=3"),
+        ("1,4,12", "row index 12 out of range"),
+        ("4,1,7", "strictly increasing"),
+    ])
+    def test_bad_selection(self, tmp_path, capsys, rows, message):
+        data = np.column_stack([np.ones(12), np.random.default_rng(2).standard_normal((12, 3))])
+        path = write_csv(tmp_path / "g.csv", data.round(8).tolist())
+        assert main(["indep", path, "--mode", "general", "--rows", rows]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_scattered_selection_matches_the_library(self, tmp_path, capsys):
+        # the library route: fit X as given, factor X with the selected rows first
+        data = np.random.default_rng(4).standard_normal((40, 5))
+        path = write_csv(tmp_path / "g.csv", [[repr(float(c)) for c in row] for row in data])
+        rows = (2, 17, 30, 39)
+        code, out = run(capsys, ["indep", path, "--mode", "general",
+                                 "--rows", ",".join(map(str, rows))])
+        assert code == 0
+        X, Y = data[:, :-1], data[:, -1]
+        sel = orthocomp.RowSelection(rows)
+        ref = regression.independent_residuals(
+            regression.fit_least_squares(X, Y),
+            orthocomp.s_from_qr(orthocomp.qr_for_selection(X, sel), X, sel), sel)
+        for key in ("W", "v", "beta_star"):
+            want = getattr(ref, key)
+            assert np.linalg.norm(out[key] - want) <= 1e-13 * np.linalg.norm(want), key
 
     def test_badly_scaled_design_exits_cleanly(self, tmp_path, capsys):
         # X = [1, 1e5 z1, 1e-5 z2] has condition number about 1e10
@@ -344,9 +373,10 @@ class TestCheck:
     def test_grid_below_two(self, capsys, grid):
         assert main(["check", "--n-grid", grid, "--trials", "1"]) == 2
 
-    def test_injected_fault(self, capsys):
-        code, out = run(capsys, ["check", "--n-grid", "5", "--trials", "5",
-                                 "--seed", "0", "--inject-fault"])
+    def test_injected_fault(self, capsys, monkeypatch):
+        # every S passes the condition, so the perturbed S does too
+        monkeypatch.setattr(validation, "verify_theorem7_condition", lambda S, X: True)
+        code, out = run(capsys, ["check", "--n-grid", "5", "--trials", "5", "--seed", "0"])
         assert code == 5
         assert "theorem7_pass" in out["failures"]
 

@@ -209,6 +209,18 @@ class TestSFromC:
         np.testing.assert_allclose(sp.S @ (C - A[:3]), np.eye(3), atol=1e-10)
         assert sp.rank == 3
 
+    def test_columns_scaled_apart(self):
+        """C = R diag(1, 1e6, 1e-6) is not singular: S is (C - X^(p))^-1."""
+        D = np.array([1.0, 1e6, 1e-6])
+        for seed in range(50):
+            Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((20, 3)))
+            C = R * D
+            X = Q @ C
+            sp = s_from_c(X, C)
+            want = D[:, None] * np.linalg.inv(C - X[:3])  # D S is scale-free
+            assert sp.rank == 3, seed
+            assert np.linalg.norm(D[:, None] * sp.S - want) <= 1e-12 * np.linalg.norm(want), seed
+
     def test_singular_c_rejected(self):
         with pytest.raises(SingularMatrixError):
             s_from_c(np.ones((4, 1)), [[0.0]])
@@ -246,6 +258,18 @@ class TestSignFix:
         d = sign_fix(C, X)
         sv = np.linalg.svd(np.diag(d) @ C - X[:p], compute_uv=False)
         assert sv[-1] > 1e-12 * np.linalg.norm(C)
+
+    def test_columns_scaled_apart(self):
+        """Column scales 1, 1e8 and 1e-8: d T is still the T of X with the
+        selected rows first, column by column."""
+        sel = RowSelection((3, 11, 29))
+        for seed in range(40):
+            z = np.random.default_rng(seed).standard_normal((30, 2))
+            X = np.column_stack([np.ones(30), 1e8 * z[:, 0], 1e-8 * z[:, 1]])
+            T, T_sel = householder_qr(X).T, qr_for_selection(X, sel).T
+            d = sign_fix(T, X, sel)
+            err = np.max(np.abs(d[:, None] * T - T_sel), axis=0)
+            assert (err <= 1e-13 * np.max(np.abs(T_sel), axis=0)).all(), seed
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("n,rows", [

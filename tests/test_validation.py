@@ -6,6 +6,7 @@ import pytest
 from orthores import (
     SimulationConfig,
     benchmark_apply,
+    check_battery,
     cheng_matrix,
     idempotent_check,
     monte_carlo,
@@ -160,6 +161,20 @@ class TestMonteCarlo:
             self.config(replicates=0)
         with pytest.raises(ValueError):
             self.config(construction="student-minus")  # p must be 1
+
+
+class TestCheckBattery:
+    def test_report(self):
+        report = check_battery([5, 20], 10, 1, 1e-10)
+        assert list(report) == ["oracle_max_error", "oracle_errors", "theorem6_roots",
+                                "theorem7_pass", "cheng_orthonormality_error",
+                                "idempotency_pass", "failures"]
+        assert list(report["oracle_errors"]) == ["5", "20"]
+        assert report["oracle_max_error"] == max(report["oracle_errors"].values()) < 1e-10
+        assert list(report["theorem6_roots"]) == ["2", "4", "10", "100"]
+        assert report["theorem7_pass"] and report["idempotency_pass"]
+        assert report["cheng_orthonormality_error"] < 1e-10
+        assert report["failures"] == []
 
 
 class TestBenchmark:
