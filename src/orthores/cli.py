@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .core import STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, householder_qr
-from .orthocomp import RowSelection, _selection, rank_count, s_from_qr
+from .orthocomp import RowSelection, _rows, rank_count, s_from_qr
 from .regression import (
     fit_least_squares,
     independent_residuals,
@@ -25,7 +25,8 @@ from .regression import (
     student_w,
     univariate_w,
 )
-from .validation import SimulationConfig, benchmark_apply, check_battery, monte_carlo
+from .validation import (CONSTRUCTIONS, SimulationConfig, benchmark_apply, check_battery,
+                         monte_carlo)
 
 EXIT_INPUT = 2
 EXIT_RANK = 3
@@ -181,7 +182,9 @@ def cmd_indep(args) -> None:
             raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
         # the selected rows first and the rest in increasing order, so that one
         # factorization serves the fit and S, and W keeps the complement's order
-        data = data[_selection(parse_selection(args.rows), ncols - 1).permutation(n)]
+        sel = parse_selection(args.rows)
+        if not isinstance(_rows(sel, ncols - 1, n), slice):
+            data = data[sel.permutation(n)]
         X, Y = data[:, :-1], data[:, -1]
         construct = lambda fit: independent_residuals(fit, s_from_qr(fit.qr, X))
     fit = fit_least_squares(X, Y)
@@ -219,6 +222,8 @@ def cmd_check(args) -> None:
         raise CliError(EXIT_INPUT, f"bad --n-grid: {exc}")
     if min(n_grid) < 2:
         raise CliError(EXIT_INPUT, f"--n-grid entries must be at least 2, got {min(n_grid)}")
+    if args.trials < 1:
+        raise CliError(EXIT_INPUT, f"--trials must be at least 1, got {args.trials}")
     report = check_battery(n_grid, args.trials, resolve_seed(args), args.tol)
     emit(args, report)
     if report["failures"]:
@@ -269,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int)
     p.add_argument("--beta", help="comma-separated coefficients (default zeros)")
-    p.add_argument("--construction", default="generic",
-                   choices=["generic", "student-minus", "student-plus",
-                            "univariate-a", "univariate-b"])
+    p.add_argument("--construction", default="generic", choices=CONSTRUCTIONS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", parents=[out, tol],

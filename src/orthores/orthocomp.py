@@ -9,11 +9,12 @@ rank-one-update recursion covers the singular cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
-from .core import STANDARD, HouseholderQR, SignPolicy, as_matrix, as_vector, householder_qr
+from .core import HouseholderQR, as_matrix, as_vector, householder_qr
 
 # |pivot| below this is treated as a zero reflector in the recursion.
 PIVOT_TOL = 1e-10
@@ -42,53 +43,60 @@ class RowSelection:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
 
-    @classmethod
-    def first(cls, p: int) -> "RowSelection":
-        return cls(tuple(range(p)))
-
-    def rows(self, n: int) -> np.ndarray:
-        """The selected row indices as an index array, checked against n."""
-        if self.indices and self.indices[-1] >= n:
-            raise ValueError(f"row index {self.indices[-1]} out of range for n={n}")
-        return np.array(self.indices, dtype=np.intp)
+    @cached_property
+    def _index_array(self) -> np.ndarray:  # built once per selection, and shared
+        idx = np.array(self.indices, dtype=np.intp)
+        idx.flags.writeable = False
+        return idx
 
     def permutation(self, n: int) -> np.ndarray:
         """Row order putting the selected rows first, the rest in increasing order."""
-        idx = self.rows(n)
+        idx = _rows(self, len(self.indices), n)
+        if isinstance(idx, slice):  # the first rows already lead
+            return np.arange(n)
         keep = np.ones(n, dtype=bool)
         keep[idx] = False
         return np.concatenate([idx, np.flatnonzero(keep)])
 
 
-def _selection(sel: RowSelection | None, p: int) -> RowSelection:
+def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
+    """The p selected rows of an n-row array, checked against p and n: a slice
+    for ``None`` or the first p rows, else an index array."""
     if sel is None:
-        return RowSelection.first(p)
-    if len(sel.indices) != p:
-        raise ValueError(f"selection has {len(sel.indices)} rows, need p={p}")
-    return sel
+        return slice(0, p)
+    idx = sel.indices
+    if len(idx) != p:
+        raise ValueError(f"selection has {len(idx)} rows, need p={p}")
+    last = idx[-1] if idx else -1
+    if last >= n:
+        raise ValueError(f"row index {last} out of range for n={n}")
+    if last == p - 1:  # increasing indices, so rows 0..p-1
+        return slice(0, p)
+    return sel._index_array
 
 
 def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
-             sel: RowSelection) -> tuple[np.ndarray, np.ndarray]:
+             sel: RowSelection | None) -> tuple[np.ndarray, np.ndarray]:
     """v = S x^(p) and x_(p) + X_(p) v for a vector or an n x m block x,
     without permuting or gathering the n rows of X."""
     p = S.shape[0]
-    if sel.indices[-1] == p - 1:  # increasing indices, so rows 0..p-1: slices suffice
-        v = S @ x[:p]
-        return v, x[p:] + X[p:] @ v
-    idx = sel.rows(X.shape[0])
+    idx = _rows(sel, p, X.shape[0])
     v = S @ x[idx]
+    if isinstance(idx, slice):  # the first p rows: views suffice
+        return v, x[p:] + X[p:] @ v
     return v, np.delete(x + X @ v, idx, axis=0)  # every row, then drop the p selected
 
 
 @dataclass(frozen=True)
 class SProjector:
-    """S with its rank and the route it was built by."""
+    """S with its rank, the route it was built by and the norms ||x_k|| of
+    the columns of the X it was built from."""
 
     p: int
     S: np.ndarray
     rank: int
     source: str  # "from-t" | "from-c" | "recursion"
+    col_norms: np.ndarray
 
 
 def _border(S: np.ndarray, M: np.ndarray, k: int,
@@ -132,12 +140,13 @@ def _check_orthonormal(X: np.ndarray) -> None:
         raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
 
 
-def qr_for_selection(X, sel: RowSelection | None = None,
-                     policy: SignPolicy = STANDARD) -> HouseholderQR:
-    """Factor X with the selected rows permuted to the front."""
+def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
+    """Standard-sign factorization of X with the selected rows permuted to the front."""
     X = as_matrix(X)
-    sel = _selection(sel, X.shape[1])
-    return householder_qr(X[sel.permutation(X.shape[0])], policy)
+    n, p = X.shape
+    if isinstance(_rows(sel, p, n), slice):
+        return householder_qr(X)
+    return householder_qr(X[sel.permutation(n)])
 
 
 def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProjector:
@@ -152,11 +161,12 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     n, p = X.shape
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
-    first = sel is None or _selection(sel, p).indices[-1] == p - 1  # rows 0..p-1
+    rows = _rows(sel, p, n)
     if qr.nonzero_reflector_count < p:  # the rank formula
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
-    S = _solve(qr.T - (X[:p] if first else X[sel.rows(n)]), np.eye(p), "T - X^(p)")[0]
-    return SProjector(p=p, S=S, rank=p, source="from-t")
+    S = _solve(qr.T - X[rows], np.eye(p), "T - X^(p)")[0]
+    return SProjector(p=p, S=S, rank=p, source="from-t",
+                      col_norms=np.hypot.reduce(qr.T, axis=0))  # ||T e_k|| = ||x_k||
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
@@ -170,15 +180,14 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
     X = as_matrix(Xortho)
     n, p = X.shape
     _check_orthonormal(X)
-    sel = _selection(sel, p)
-    head = X[sel.rows(n)]
+    head = X[_rows(sel, p, n)]
 
     S = np.zeros((0, 0))
     rank = 0
     for k in range(p):
         S, grew = _border(S, head, k, 1.0)
         rank += grew
-    return SProjector(p=p, S=S, rank=rank, source="recursion")
+    return SProjector(p=p, S=S, rank=rank, source="recursion", col_norms=np.ones(p))
 
 
 def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
@@ -195,7 +204,8 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     Xt, lu, piv = _solve(C.T, X.T, "C")  # (X C^-1)^T, and the LU of C^T
     inner = s_recursion(Xt.T, sel)  # raises ValueError unless X C^-1 is orthonormal
     S = dgetrs(lu, piv, inner.S, trans=1)[0]  # C^-1 S from the same LU
-    return SProjector(p=p, S=S, rank=inner.rank, source="from-c")
+    return SProjector(p=p, S=S, rank=inner.rank, source="from-c",
+                      col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
 
 
 def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
@@ -212,8 +222,7 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     n, p = X.shape
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
-    sel = _selection(sel, p)
-    M = _solve(C.T, X[sel.rows(n)].T, "C")[0].T  # X^(p) C^-1
+    M = _solve(C.T, X[_rows(sel, p, n)].T, "C")[0].T  # X^(p) C^-1
 
     d = np.zeros(p)
     Ainv = np.zeros((0, 0))
@@ -234,12 +243,10 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
         raise ValueError(f"vector length {x.size} != n = {n}")
     if sp.p != p:
         raise ValueError("projector size does not match X")
-    sel = _selection(sel, p)
-    xnorm = float(np.linalg.norm(x))
-    if xnorm > 0.0:
-        err = float(np.max(np.abs(X.T @ x)))
-        if err >= ORTHO_TOL * xnorm:
-            raise ValueError(f"x is not orthogonal to col(X) (|X^T x| = {err:.3e})")
+    # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
+    err = np.abs(X.T @ x) / sp.col_norms
+    if not (err <= ORTHO_TOL * np.linalg.norm(x)).all():  # a NaN fails too
+        raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {np.max(err):.3e})")
     return _apply_s(sp.S, X, x, sel)[1]
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .core import STANDARD, HouseholderQR, apply_Qt, as_matrix, as_vector, householder_qr
-from .orthocomp import RowSelection, SProjector, _apply_s, _selection
+from .core import RANK_TOL, STANDARD, HouseholderQR, apply_Qt, as_matrix, as_vector, householder_qr
+from .orthocomp import RowSelection, SProjector, _apply_s
 
 # Normal equations: |x_k^T R| <= XTR_TOL ||x_k|| ||Y|| for each column, scale-free.
 XTR_TOL = 1e-8
@@ -23,9 +23,6 @@ XTR_TOL = 1e-8
 # Threshold on the p = 2 variant-(a) determinant below which the rank-one
 # singular branch is taken.
 SINGULAR_DET_TOL = 1e-10
-
-_FIRST_ROW = RowSelection.first(1)
-_FIRST_TWO_ROWS = RowSelection.first(2)
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class IndependentResiduals:
     W: np.ndarray
     v: np.ndarray
     beta_star: np.ndarray
-    selection: RowSelection
 
 
 @dataclass(frozen=True)
@@ -85,19 +81,18 @@ def fit_least_squares(X, Y) -> RegressionFit:
 
 
 def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray,
-               sel: RowSelection) -> IndependentResiduals:
+               sel: RowSelection | None = None) -> IndependentResiduals:
     v, W = _apply_s(S, X, R, sel)
-    return IndependentResiduals(W=W, v=v, beta_star=beta_hat - v, selection=sel)
+    return IndependentResiduals(W=W, v=v, beta_star=beta_hat - v)
 
 
 def independent_residuals(fit: RegressionFit, sp: SProjector,
                           sel: RowSelection | None = None) -> IndependentResiduals:
     """W = R_(p) + X_(p) v with v = S R^(p), for a projector built from
     the same X and row selection."""
-    p = fit.X.shape[1]
-    if sp.p != p:
+    if sp.p != fit.X.shape[1]:
         raise ValueError("projector size does not match the fit")
-    return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, _selection(sel, p))
+    return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, sel)
 
 
 def student_coefficient(n: int, variant: str) -> np.ndarray:
@@ -118,7 +113,7 @@ def student_w(Y, variant: str = "minus") -> IndependentResiduals:
     n = Y.size
     S = student_coefficient(n, variant)
     mean = float(np.mean(Y))
-    return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S, _FIRST_ROW)
+    return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S)
 
 
 def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
@@ -158,8 +153,7 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
     b_hat = float(tv @ Y)
     R = Y - a_hat - b_hat * tv
     X = np.column_stack([np.ones(n), tv])
-    return _construct(X, np.array([a_hat, b_hat]), R,
-                      univariate_coefficients(tv, n, variant), _FIRST_TWO_ROWS)
+    return _construct(X, np.array([a_hat, b_hat]), R, univariate_coefficients(tv, n, variant))
 
 
 def standardize_predictor(raw) -> StandardizedPredictor:
@@ -168,7 +162,7 @@ def standardize_predictor(raw) -> StandardizedPredictor:
     shift = float(np.mean(raw))
     centered = raw - shift
     scale = float(np.linalg.norm(centered))
-    if scale <= 1e-12 * max(float(np.linalg.norm(raw)), 1.0):
+    if scale <= RANK_TOL * float(np.linalg.norm(raw)):  # the rank test on [1, raw]
         raise ValueError("predictor is constant (collinear with the intercept)")
     t = centered / scale
     # one refinement pass to pin the sum-zero invariant at rounding level

@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import STANDARD, apply_Qt, as_matrix, explicit_orthocomplement_basis, householder_qr
-from .orthocomp import (RowSelection, _apply_s, _selection, _svd_rank, orthocomplement_apply,
-                        s_from_qr)
+from .orthocomp import RowSelection, _apply_s, _rows, _svd_rank, orthocomplement_apply, s_from_qr
 from .regression import student_coefficient, univariate_coefficients
 
 IDEMPOTENT_TOL = 1e-10
@@ -24,6 +23,8 @@ CONDITION_TOL = 1e-9
 AGREEMENT_TOL = 1e-10  # apply routes against the explicit basis, relative to max(1, ||x||)
 
 MIN_SAMPLE_S = 1e-3  # shortest timing sample; faster calls are looped
+
+CONSTRUCTIONS = ("generic", "student-minus", "student-plus", "univariate-a", "univariate-b")
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,20 @@ class SimulationConfig:
     seed: int
     construction: str = "generic"
 
-    _CONSTRUCTIONS = ("generic", "student-minus", "student-plus",
-                      "univariate-a", "univariate-b")
-
     def __post_init__(self):
         if self.p < 1 or self.p >= self.n:
             raise ValueError(f"need 1 <= p < n, got n={self.n}, p={self.p}")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:  # NaN fails too
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         beta = np.asarray(self.beta, dtype=np.float64)
         if beta.shape != (self.p,):
             raise ValueError(f"beta must have length p={self.p}")
+        if not np.isfinite(beta).all():
+            raise ValueError("beta must be finite")
         object.__setattr__(self, "beta", beta)
-        if self.construction not in self._CONSTRUCTIONS:
+        if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction: {self.construction!r}")
         if self.construction.startswith("student") and self.p != 1:
             raise ValueError("student constructions require p = 1")
@@ -96,7 +96,7 @@ def verify_theorem7_condition(S, Xortho, sel: RowSelection | None = None) -> boo
     p = X.shape[1]
     if S.shape != (p, p):
         raise ValueError(f"S must be {p}x{p}, got {S.shape}")
-    head = X[np.asarray(_selection(sel, p).indices)]
+    head = X[_rows(sel, p, X.shape[0])]
     lhs = S.T @ (np.eye(p) - head.T @ head) @ S - head @ S - S.T @ head.T
     return float(np.max(np.abs(lhs - np.eye(p)))) < CONDITION_TOL
 
@@ -284,7 +284,7 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
         m = min(batch, reps - done)
         Y = mean_signal[:, None] + cfg.sigma * rng.standard_normal((n, m))
         R = annihilator @ Y
-        W = _apply_s(S, X, R, RowSelection.first(p))[1]
+        W = _apply_s(S, X, R, None)[1]
         rss = np.einsum("ij,ij->j", R, R)
         wss = np.einsum("ij,ij->j", W, W)
         max_err = max(max_err, float(np.max(np.abs(wss - rss) / rss)))

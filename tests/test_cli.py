@@ -181,6 +181,14 @@ class TestIndep:
         assert code == 0
         assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
 
+    def test_univariate_tiny_predictor(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [[repr(float(1e-14 * t)), y] for t, y in rng.standard_normal((8, 2)).round(6)]
+        path = write_csv(tmp_path / "ty.csv", rows)
+        code, out = run(capsys, ["indep", path, "--mode", "univariate"])
+        assert code == 0
+        assert abs(out["wss"] - out["rss"]) <= 1e-10 * out["rss"]
+
     def test_general_with_selection(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         data = np.column_stack([np.ones(10), rng.standard_normal((10, 2))])
@@ -285,6 +293,19 @@ class TestSimulate:
     def test_p_not_less_than_n(self, capsys):
         assert main(["simulate", "--n", "10", "--p", "10", "--reps", "1"]) == 2
 
+    @pytest.mark.parametrize("option", [["--sigma", "nan"], ["--sigma", "inf"],
+                                        ["--beta", "nan,1"], ["--beta", "1,inf"]])
+    def test_non_finite_parameter(self, capsys, option):
+        code = main(["simulate", "--n", "10", "--p", "2", "--reps", "5", "--seed", "1"] + option)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "must be" in captured.err
+
+    def test_unknown_construction(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "10", "--p", "2", "--construction", "bogus"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("ORTHORES_SEED", "99")
         code1, out1 = run(capsys, ["simulate", "--n", "6", "--p", "1", "--reps", "5"])
@@ -372,6 +393,12 @@ class TestCheck:
     @pytest.mark.parametrize("grid", ["1", "5,1", "0"])
     def test_grid_below_two(self, capsys, grid):
         assert main(["check", "--n-grid", grid, "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one(self, capsys, trials):
+        assert main(["check", "--n-grid", "5", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials" in captured.err
 
     def test_injected_fault(self, capsys, monkeypatch):
         # every S passes the condition, so the perturbed S does too

@@ -333,6 +333,42 @@ class TestOrthocomplementApply:
             np.testing.assert_allclose(fast, U2.T @ x, atol=1e-10)
             assert abs(fast @ fast - x @ x) <= 1e-10 * (x @ x)
 
+    @staticmethod
+    def scaled_design(seed, c):
+        """X = [1, c z1, z2] on 100 rows, and a vector perpendicular to col(X)."""
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((100, 2))
+        X = np.column_stack([np.ones(100), c * z[:, 0], z[:, 1]])
+        return X, random_orthocomplement_vector(X, rng)
+
+    @pytest.mark.parametrize("c", [1e6, 1e8, 1e10])
+    def test_large_column_does_not_reject(self, c):
+        for seed in range(20):
+            X, x = self.scaled_design(seed, c)
+            qr = householder_qr(X)
+            fast = orthocomplement_apply(s_from_qr(qr, X), X, x)
+            np.testing.assert_allclose(fast, explicit_orthocomplement_basis(qr).T @ x,
+                                       rtol=0, atol=1e-10 * np.linalg.norm(x))
+
+    def test_small_column_still_checked(self):
+        # a component in col(X) that only the 1e-8-scaled column sees
+        for seed in range(20):
+            X, x = self.scaled_design(seed, 1e-8)
+            others = X[:, [0, 2]]
+            u = X[:, 1] - others @ np.linalg.lstsq(others, X[:, 1], rcond=None)[0]
+            x = x + 1e-3 * np.linalg.norm(x) * u / np.linalg.norm(u)
+            with pytest.raises(ValueError, match="not orthogonal"):
+                orthocomplement_apply(s_from_qr(householder_qr(X), X), X, x)
+
+    def test_builders_record_column_norms(self):
+        rng = np.random.default_rng(13)
+        Q = np.linalg.qr(rng.standard_normal((15, 3)))[0]
+        C = np.triu(rng.standard_normal((3, 3))) * [1e-4, 1.0, 1e4] + 5.0 * np.eye(3)
+        X = Q @ C
+        for sp, M in [(s_from_qr(householder_qr(X), X), X), (s_from_c(X, C), X),
+                      (s_recursion(Q), Q)]:
+            np.testing.assert_allclose(sp.col_norms, np.linalg.norm(M, axis=0), rtol=1e-13)
+
     def test_arbitrary_row_selection(self):
         rng = np.random.default_rng(77)
         n, p = 30, 3

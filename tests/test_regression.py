@@ -180,7 +180,6 @@ class TestIndependentResiduals:
         np.testing.assert_allclose(out.beta_star, fit.beta_hat - v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.W, explicit_orthocomplement_basis(qr).T @ Rp,
                                    rtol=0, atol=1e-10)
-        assert out.selection == sel
 
     def test_out_of_range_selection(self):
         rng = np.random.default_rng(8)
@@ -347,6 +346,18 @@ class TestStandardizePredictor:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             standardize_predictor(np.full(5, 2.0))
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 1e-30])
+    def test_any_constant_rejected(self, value):
+        with pytest.raises(ValueError, match="constant"):
+            standardize_predictor(np.full(5, value))
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-100, 1e100])
+    def test_tiny_and_huge_predictors_accepted(self, scale):
+        # t is scale-free, so only the centered-to-raw ratio can call a predictor constant
+        raw = np.random.default_rng(12).standard_normal(30)
+        np.testing.assert_allclose(standardize_predictor(scale * raw).t,
+                                   standardize_predictor(raw).t, rtol=0, atol=1e-15)
 
 
 class TestClosedFormsMatchGenericBuilders:
