@@ -129,8 +129,11 @@ def emit(args, payload: dict) -> None:
     except ValueError as exc:  # NaN or infinity, which JSON cannot carry
         raise CliError(EXIT_IDENTITY, f"result is not finite: {exc}")
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot write {args.out}: {exc}")
     else:
         print(text)
 
@@ -309,6 +312,8 @@ def main(argv=None) -> int:
         code, message = EXIT_INPUT, str(exc)
     except ArithmeticError as exc:  # an identity check failed, or S is singular
         code, message = EXIT_IDENTITY, str(exc)
+    except MemoryError as exc:  # a size the machine cannot hold
+        code, message = EXIT_INPUT, f"input too large for the available memory: {exc}"
     else:
         return 0
     print(f"error: {message}", file=sys.stderr)

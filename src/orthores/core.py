@@ -77,7 +77,7 @@ class HouseholderQR:
     H_k = I - tau[k] u_k u_k^T, where u_k is zero above its unit entry k and
     ``packed[k + 1:, k]`` below it: LAPACK's ``dgeqrf`` layout, n x p in
     Fortran order, whose entries on and above the diagonal are not read.
-    tau[k] = 0 marks an identity reflection.
+    tau[k] = 0 marks an identity reflection.  col_norms[k] is ||x_k||.
     """
 
     n: int
@@ -85,6 +85,7 @@ class HouseholderQR:
     packed: np.ndarray
     tau: np.ndarray
     T: np.ndarray
+    col_norms: np.ndarray
 
     @property
     def nonzero_reflector_count(self) -> int:
@@ -134,8 +135,8 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
 
     Under the standard policy this is one LAPACK ``dgeqrt`` call; other
     policies build each reflector in a loop that stores it in the same layout.
-    Raises RankDeficiencyError at the first column k whose pivot tail norm
-    falls below RANK_TOL * ||x_k||.
+    Raises RankDeficiencyError at the first column that _check_column finds
+    dependent on the previous ones.
     """
     X = as_matrix(X)
     n, p = X.shape
@@ -146,14 +147,12 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     if policy.kind == "standard":
         return _standard_qr(X)
     signs = policy.signs or (-1,) * p
-    col_norms = np.hypot.reduce(X, axis=0).tolist()  # ||x_k||, with no overflow near 1e200
+    col_norms = np.hypot.reduce(X, axis=0)  # ||x_k||, with no overflow near 1e200
     A = X.copy()
     packed = np.zeros((n, p), order="F")
     tau = np.zeros(p)
-    for k in range(p):
-        norm = float(np.linalg.norm(A[k:, k]))
-        if norm <= RANK_TOL * col_norms[k]:
-            raise _rank_deficiency(k, norm)
+    for k, col_norm in enumerate(col_norms.tolist()):
+        _check_column(k, float(np.linalg.norm(A[k:, k])), col_norm)
         v = make_reflector(A[:, k], k + 1, signs[k])
         vn2 = float(v @ v)
         if vn2 > 0.0:  # then v[k] != 0: make_reflector returns v = 0 where it cancels
@@ -161,13 +160,15 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
             packed[k + 1:, k] = v[k + 1:] / v[k]
             tau[k] = 2.0 * v[k] ** 2 / vn2
         A[k + 1:, k] = 0.0  # with v = 0 (H_k = I) this drops the sub-diagonal dust
-    return HouseholderQR(n=n, p=p, packed=packed, tau=tau, T=A[:p].copy())
+    return HouseholderQR(n=n, p=p, packed=packed, tau=tau, T=A[:p].copy(), col_norms=col_norms)
 
 
-def _rank_deficiency(k: int, norm: float) -> RankDeficiencyError:
-    return RankDeficiencyError(
-        f"rank deficiency detected at column {k + 1}: pivot tail norm {norm:.3e}"
-    )
+def _check_column(k: int, tail: float, col_norm: float) -> None:
+    """The rank test: column k is dependent when its pivot tail <= RANK_TOL ||x_k||."""
+    if tail <= RANK_TOL * col_norm:
+        raise RankDeficiencyError(
+            f"rank deficiency detected at column {k + 1}: pivot tail norm {tail:.3e}"
+        )
 
 
 def _standard_qr(X: np.ndarray) -> HouseholderQR:
@@ -188,11 +189,10 @@ def _standard_qr(X: np.ndarray) -> HouseholderQR:
         if t == 0.0:  # u_k is zero below the diagonal already
             T[k, k:] = 0.0 - T[k, k:]  # 0.0 - keeps the zeros positive
             tau[k] = 2.0
-    col_norms = np.hypot.reduce(T, axis=0).tolist()  # ||x_k||; row signs do not move it
-    for k, t in enumerate(T.diagonal().tolist()):  # |T_kk| is the pivot tail norm
-        if abs(t) <= RANK_TOL * col_norms[k]:
-            raise _rank_deficiency(k, abs(t))
-    return HouseholderQR(n=n, p=p, packed=a, tau=tau, T=T)
+    col_norms = np.hypot.reduce(T, axis=0)  # ||T e_k|| = ||x_k||; row signs do not move it
+    for k, (t, col_norm) in enumerate(zip(T.diagonal().tolist(), col_norms.tolist())):
+        _check_column(k, abs(t), col_norm)  # |T_kk| is the pivot tail norm
+    return HouseholderQR(n=n, p=p, packed=a, tau=tau, T=T, col_norms=col_norms)
 
 
 def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:

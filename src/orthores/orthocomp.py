@@ -89,13 +89,11 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
 
 @dataclass(frozen=True)
 class SProjector:
-    """S with its rank, the route it was built by and the norms ||x_k|| of
-    the columns of the X it was built from."""
+    """S with its rank and the norms ||x_k|| of the columns of the X it was
+    built from."""
 
-    p: int
     S: np.ndarray
     rank: int
-    source: str  # "from-t" | "from-c" | "recursion"
     col_norms: np.ndarray
 
 
@@ -165,8 +163,7 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     if qr.nonzero_reflector_count < p:  # the rank formula
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     S = _solve(qr.T - X[rows], np.eye(p), "T - X^(p)")[0]
-    return SProjector(p=p, S=S, rank=p, source="from-t",
-                      col_norms=np.hypot.reduce(qr.T, axis=0))  # ||T e_k|| = ||x_k||
+    return SProjector(S=S, rank=p, col_norms=qr.col_norms)
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
@@ -187,7 +184,7 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
     for k in range(p):
         S, grew = _border(S, head, k, 1.0)
         rank += grew
-    return SProjector(p=p, S=S, rank=rank, source="recursion", col_norms=np.ones(p))
+    return SProjector(S=S, rank=rank, col_norms=np.ones(p))
 
 
 def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
@@ -204,7 +201,7 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     Xt, lu, piv = _solve(C.T, X.T, "C")  # (X C^-1)^T, and the LU of C^T
     inner = s_recursion(Xt.T, sel)  # raises ValueError unless X C^-1 is orthonormal
     S = dgetrs(lu, piv, inner.S, trans=1)[0]  # C^-1 S from the same LU
-    return SProjector(p=p, S=S, rank=inner.rank, source="from-c",
+    return SProjector(S=S, rank=inner.rank,
                       col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
 
 
@@ -241,7 +238,7 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
     n, p = X.shape
     if x.size != n:
         raise ValueError(f"vector length {x.size} != n = {n}")
-    if sp.p != p:
+    if sp.S.shape[0] != p:
         raise ValueError("projector size does not match X")
     # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
     err = np.abs(X.T @ x) / sp.col_norms

@@ -74,7 +74,7 @@ def fit_least_squares(X, Y) -> RegressionFit:
     # info > 0 (a zero T_kk) cannot follow householder_qr's rank check
     beta, _ = dtrtrs(qr.T.T, z, lower=1, trans=1)
     R = Y - X @ beta
-    err = np.abs(X.T @ R) / np.hypot.reduce(qr.T, axis=0)  # ||T e_k|| = ||x_k||
+    err = np.abs(X.T @ R) / qr.col_norms
     if not (err <= XTR_TOL * np.linalg.norm(Y)).all():  # a NaN fails too
         raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
     return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
@@ -90,7 +90,7 @@ def independent_residuals(fit: RegressionFit, sp: SProjector,
                           sel: RowSelection | None = None) -> IndependentResiduals:
     """W = R_(p) + X_(p) v with v = S R^(p), for a projector built from
     the same X and row selection."""
-    if sp.p != fit.X.shape[1]:
+    if sp.S.shape[0] != fit.X.shape[1]:
         raise ValueError("projector size does not match the fit")
     return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, sel)
 

@@ -1,16 +1,21 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line.  Run with -s to see the lines."""
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthores
 from orthores import (
     STANDARD,
     TO_POSITIVE,
     RowSelection,
-    benchmark_apply,
     cheng_matrix,
     explicit_orthocomplement_basis,
     fit_least_squares,
@@ -243,7 +248,17 @@ def test_criterion_9_distributional_moments():
 
 
 def test_criterion_10_performance_separation():
-    rows = benchmark_apply([1000, 4000, 16000], 5, 3)
+    # `orthores bench` in a process of its own with one BLAS thread: on a busy
+    # 2-core machine two-thread OpenBLAS calls stalled for milliseconds each,
+    # which no repeat count evens out
+    path = [str(Path(orthores.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "orthores.cli", "bench", "--n-grid",
+                           "1000,4000,16000", "--p", "5", "--repeats", "3"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["timings"]
     times = {(r["method"], r["n"]): r["seconds"] for r in rows}
     explicit_ratio = times[("explicit", 16000)] / times[("explicit", 1000)]
     closed_ratio = times[("closed", 16000)] / times[("closed", 1000)]

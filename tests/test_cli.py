@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orthores import orthocomp, regression, validation
+from orthores import cli, orthocomp, regression, validation
 from orthores.cli import main, read_csv_matrix
 
 
@@ -301,6 +301,16 @@ class TestSimulate:
         assert code == 2 and captured.out == ""
         assert "must be" in captured.err
 
+    def test_beyond_memory(self, capsys, monkeypatch):
+        def monte_carlo(cfg):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(cli, "monte_carlo", monte_carlo)
+        code = main(["simulate", "--n", "200000", "--p", "1", "--reps", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "memory" in captured.err and "Traceback" not in captured.err
+
     def test_unknown_construction(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "10", "--p", "2", "--construction", "bogus"])
@@ -438,3 +448,10 @@ class TestOutput:
         data = json.loads(dest.read_text())
         np.testing.assert_allclose(data["beta_hat"], [1.5])
         assert data["manifest"]["output"] == str(dest)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "out.json"
+        code = main(["check", "--n-grid", "5", "--trials", "1", "--out", str(dest)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "cannot write" in captured.err and "Traceback" not in captured.err

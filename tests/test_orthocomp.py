@@ -84,7 +84,7 @@ class TestSFromQr:
         qr = householder_qr(X)
         sp = s_from_qr(qr, X)
         np.testing.assert_allclose(sp.S, [[-1.0 / 3.0]])
-        assert sp.rank == 1 and sp.source == "from-t"
+        assert sp.rank == 1
 
     def test_singular_under_custom_policy(self):
         X = np.array([[1.0], [0.0], [0.0]])
@@ -365,9 +365,18 @@ class TestOrthocomplementApply:
         Q = np.linalg.qr(rng.standard_normal((15, 3)))[0]
         C = np.triu(rng.standard_normal((3, 3))) * [1e-4, 1.0, 1e4] + 5.0 * np.eye(3)
         X = Q @ C
-        for sp, M in [(s_from_qr(householder_qr(X), X), X), (s_from_c(X, C), X),
-                      (s_recursion(Q), Q)]:
-            np.testing.assert_allclose(sp.col_norms, np.linalg.norm(M, axis=0), rtol=1e-13)
+        big = X * [1.0, 1e200, 1.0]  # ||x_2||^2 overflows; np.hypot.reduce does not
+        qr = householder_qr(X)
+        sp = s_from_qr(qr, X)
+        assert sp.col_norms is qr.col_norms
+        norms = np.linalg.norm(X, axis=0)
+        for obj, expected in [
+            (qr, norms), (householder_qr(X, TO_POSITIVE), norms), (sp, norms),
+            (householder_qr(big), norms * [1.0, 1e200, 1.0]), (s_from_c(X, C), norms),
+            (s_recursion(Q), np.linalg.norm(Q, axis=0)),
+        ]:
+            assert np.isfinite(obj.col_norms).all()
+            np.testing.assert_allclose(obj.col_norms, expected, rtol=1e-13)
 
     def test_arbitrary_row_selection(self):
         rng = np.random.default_rng(77)
@@ -446,6 +455,6 @@ class TestRankCount:
         # one zero reflector, but T - X^(1) = [[-3]] has rank 1
         X = np.ones((4, 1))
         qr = HouseholderQR(n=4, p=1, packed=np.zeros((4, 1), order="F"), tau=np.zeros(1),
-                           T=np.array([[-2.0]]))
+                           T=np.array([[-2.0]]), col_norms=np.full(1, 2.0))
         with pytest.raises(ArithmeticError, match="rank formula violated"):
             rank_count(qr, X)
