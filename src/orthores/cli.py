@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -55,8 +56,10 @@ def read_csv_matrix(path: str) -> np.ndarray:
                 first = next(rows, [])
         if not first:
             raise CliError(EXIT_INPUT, f"{path} contains no data rows")
+        with open(path, "rb") as fh:  # numpy parses faster with no quote character
+            quotechar = '"' if b'"' in fh.read() else None
         matrix = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
-                            comments=None, quotechar='"')
+                            comments=None, quotechar=quotechar)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     except ValueError as exc:  # a cell numpy cannot parse, or ragged rows
@@ -124,10 +127,14 @@ def manifest(args) -> dict:
 
 def emit(args, payload: dict) -> None:
     payload = {"manifest": manifest(args), **payload}
+    # one top-level key per line, each value compact: json.dumps uses its C
+    # encoder only when indent is None
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        lines = [f"  {json.dumps(key)}: {json.dumps(value, allow_nan=False)}"
+                 for key, value in payload.items()]
     except ValueError as exc:  # NaN or infinity, which JSON cannot carry
         raise CliError(EXIT_IDENTITY, f"result is not finite: {exc}")
+    text = "{\n" + ",\n".join(lines) + "\n}"
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
@@ -238,6 +245,7 @@ def cmd_bench(args) -> None:
     emit(args, {"timings": benchmark_apply(n_grid, args.p, args.repeats)})
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthores",

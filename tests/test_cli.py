@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthores import cli, orthocomp, regression, validation
 from orthores.cli import main, read_csv_matrix
@@ -73,6 +77,16 @@ class TestQr:
         assert main(["qr", path]) == 4
         assert capsys.readouterr().out == ""
 
+    def test_non_finite_result(self, tmp_path, capsys):
+        # ||v_1|| = sqrt(2) |T_11| overflows to inf, which JSON cannot carry
+        path = write_csv(tmp_path / "big.csv", [[0.0], [1.5e308]])
+        dest = tmp_path / "out.json"
+        with np.errstate(over="ignore"):
+            assert main(["qr", path]) == 4
+            assert main(["qr", path, "--out", str(dest)]) == 4
+        assert capsys.readouterr().out == ""
+        assert not dest.exists()
+
     def test_to_positive_reflector_norms(self, tmp_path, capsys):
         # the matrix and the squared norms pinned for the reflector loop
         X = [[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [-1.0, 0.25, 4.0], [3.0, 1.0, 1.0]]
@@ -92,6 +106,9 @@ class TestReadCsv:
         ("1,2\n\n3,4\n\n\n", [[1.0, 2.0], [3.0, 4.0]]),             # blank lines
         ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),                     # no final newline
         (" 1.5 , 2 \n3 ,4\n", [[1.5, 2.0], [3.0, 4.0]]),            # spaces around cells
+        ('"x",y\n1,2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),             # a quote in the header only
+        ('x,y\n1,"2"\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),             # a quote in a data row only
+        ("x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),               # no quote at all
     ])
     def test_accepted(self, tmp_path, text, expected):
         path = tmp_path / "d.csv"
@@ -99,6 +116,18 @@ class TestReadCsv:
         got = read_csv_matrix(str(path))
         assert got.shape == np.shape(expected)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("text, quotechar", [
+        ('"x",y\n1,2\n', '"'), ('x,y\n1,"2"\n', '"'), ("x,y\n1,2\n", None)])
+    def test_quote_character_only_when_the_file_has_one(self, tmp_path, monkeypatch,
+                                                        text, quotechar):
+        seen, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw:
+                            seen.append(kw["quotechar"]) or loadtxt(*args, **kw))
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert read_csv_matrix(str(path)).tolist() == [[1.0, 2.0]]
+        assert seen == [quotechar]
 
     @pytest.mark.parametrize("text", [
         "",                  # empty file
@@ -108,6 +137,8 @@ class TestReadCsv:
         "1\n0x10\n",         # no hexadecimal
         "1\ninf\n",          # non-finite
         "1\n1_000\n",        # no digit separators (Python's float takes them)
+        'x,y\n1,"a"\n',      # a quoted cell that is not a number
+        '"x",y\n1,a\n',      # a quoted header, then a cell that is not a number
     ])
     def test_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "d.csv"
@@ -455,3 +486,125 @@ class TestOutput:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "cannot write" in captured.err and "Traceback" not in captured.err
+
+    # the README's commands, on small inputs
+    README_EXAMPLES = [
+        ["qr", "{x}", "--policy", "standard"],
+        ["residuals", "{xy}"],
+        ["indep", "{y}", "--mode", "student", "--variant", "minus"],
+        ["indep", "{ty}", "--mode", "univariate", "--variant", "b"],
+        ["indep", "{xy}", "--mode", "general", "--rows", "0,3,7"],
+        ["simulate", "--n", "10", "--p", "2", "--sigma", "1", "--reps", "100", "--seed", "7"],
+        ["check", "--n-grid", "5,20", "--trials", "3", "--seed", "0"],
+        ["bench", "--n-grid", "30,60", "--p", "2", "--repeats", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: " ".join(argv[:2]))
+    def test_layout_keeps_the_values(self, tmp_path, capsys, monkeypatch, argv):
+        rng = np.random.default_rng(5)
+        data = np.column_stack([np.ones(10), rng.standard_normal((10, 3))])
+        files = {"{x}": write_csv(tmp_path / "x.csv", data[:, :3].tolist()),
+                 "{xy}": write_csv(tmp_path / "xy.csv", data.tolist(),
+                                   header=["x1", "x2", "x3", "y"]),
+                 "{y}": write_csv(tmp_path / "y.csv", data[:, 3:].tolist()),
+                 "{ty}": write_csv(tmp_path / "ty.csv", data[:, 2:].tolist())}
+        emitted, emit = [], cli.emit
+        monkeypatch.setattr(cli, "emit", lambda args, payload:
+                            emitted.append((args, payload)) or emit(args, payload))
+        assert main([files.get(a, a) for a in argv]) == 0
+        text = capsys.readouterr().out
+        # the same payload as one json.dumps with indent=2, the encoding before
+        # compact values: equal values, keys in the same order at every level
+        (args, payload), = emitted
+        before = json.loads(json.dumps({"manifest": cli.manifest(args), **payload},
+                                       indent=2, allow_nan=False))
+        assert json.dumps(json.loads(text)) == json.dumps(before)
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(before) + 2
+        for key, line in zip(before, lines[1:-1]):
+            assert line.startswith(f"  {json.dumps(key)}: ")
+
+    def test_parser_state_not_shared_between_calls(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ORTHORES_SEED", raising=False)
+        assert cli.build_parser() is cli.build_parser()
+        data = np.random.default_rng(1).standard_normal((8, 3))
+        path = write_csv(tmp_path / "g.csv", data.tolist())
+        dest = tmp_path / "out.json"
+        simulate = ["simulate", "--n", "6", "--p", "1", "--reps", "5"]
+        general = ["indep", path, "--mode", "general"]
+        # each second call leaves out the options its first call gave
+        for first, second in ((general + ["--rows", "2,5"], general),
+                              (simulate + ["--seed", "3"], simulate)):
+            assert main(first + ["--out", str(dest)]) == 0
+            code, out = run(capsys, second)
+            assert code == 0
+            manifest = out["manifest"]
+            assert manifest["output"] is None and manifest["selection"] is None
+            assert manifest["seed"] == (0 if second is simulate else None)
+
+
+# the edge cases a CSV file can hold
+ODD_CELLS = ["", "nan", "inf", "-inf", "1e200", "-1e200", "1e999", "abc",
+             '"2.5"', '"x"', '"', " 7 "]
+# each command with the column counts it takes
+FUZZ_COMMANDS = [
+    (["qr"], [1, 2, 3]), (["qr", "--policy", "to-positive"], [1, 2, 3]),
+    (["qr", "--policy", "custom", "--signs", "1,1"], [2]), (["residuals"], [1, 2, 3, 4]),
+    (["indep", "--mode", "student"], [1]),
+    (["indep", "--mode", "student", "--variant", "plus"], [1]),
+    (["indep", "--mode", "univariate"], [2]),
+    (["indep", "--mode", "univariate", "--variant", "a"], [2]),
+    (["indep", "--mode", "general"], [2, 3, 4]),
+    (["indep", "--mode", "general", "--tol", "1e-6"], [2, 3, 4]),
+]
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A command and a CSV file, mostly well-formed: the file has the wrong
+    column count, ragged rows or odd cells one time in eight each."""
+    command, widths = draw(st.sampled_from(FUZZ_COMMANDS))
+    rare = lambda: draw(st.integers(0, 7)) == 0
+    ncols = draw(st.integers(1, 4)) if rare() else draw(st.sampled_from(widths))
+    ragged, odd = rare(), rare()
+    # repeated small integers and constant columns are rank deficient; cells
+    # near 1e200 overflow the sums of squares
+    numbers = draw(st.sampled_from([st.floats(-1e3, 1e3).map(repr),
+                                    st.sampled_from(["0", "1", "-1", "2"]), st.just("3"),
+                                    st.sampled_from(["1e200", "-2e200", "4e200", "1e-200"])]))
+    cells = st.one_of(numbers, st.sampled_from(ODD_CELLS)) if odd else numbers
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["x", '"y"', "1", "z w"]))
+                              for _ in range(ncols)))
+    for _ in range(draw(st.integers(0, 12))):
+        if rare():
+            lines.append("")
+        width = draw(st.integers(1, 5)) if ragged else ncols
+        lines.append(",".join(draw(cells) for _ in range(width)))
+    if "general" in command and draw(st.booleans()):
+        rows = draw(st.lists(st.integers(-1, 12), min_size=1, max_size=4)
+                    | st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True).map(sorted))
+        command = command + ["--rows", ",".join(map(str, rows))]
+    return command, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(run=fuzz_runs())
+    def test_exit_codes_and_one_json_document(self, tmp_path_factory, run):
+        command, text = run
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(text.encode())
+        argv = [command[0], str(path), *command[1:]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr), np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), (argv, text, stderr.getvalue())
+        if code == 0:
+            assert "manifest" in json.loads(stdout.getvalue())  # exactly one document
+        else:
+            assert stdout.getvalue() == "", (argv, text)
