@@ -142,7 +142,13 @@ def emit(args, payload: dict) -> None:
         except OSError as exc:
             raise CliError(EXIT_INPUT, f"cannot write {args.out}: {exc}")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:  # the reader closed stdout early
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # so that the flush at exit does not raise again
+            os.close(devnull)
+            raise CliError(EXIT_INPUT, f"cannot write stdout: {exc}")
 
 
 def cmd_qr(args) -> None:

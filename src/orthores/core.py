@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt, dormqr
+from scipy.linalg.lapack import dgeqrfp, dgeqrt, dormqr
 
 # Pivot tail below this fraction of ||x_k|| means column k is linearly dependent
 # on the previous ones (per column, so the scale of each column cancels).
@@ -107,7 +107,7 @@ def make_reflector(x, k: int, sign: int) -> np.ndarray:
     if d not in (-1.0, 1.0):
         raise ValueError("sign must be +1 or -1")
     tail = x[k - 1:]
-    norm = float(np.linalg.norm(tail))
+    norm = float(np.hypot.reduce(tail))  # no overflow or underflow near 1e+-200
     if norm == 0.0:
         raise RankDeficiencyError(f"all-zero tail from component {k}")
     v = np.zeros(n)
@@ -124,17 +124,16 @@ def apply_reflection(v, x) -> np.ndarray:
     x = as_vector(x)
     if v.size != x.size:
         raise ValueError("reflector and vector lengths differ")
-    vn2 = float(v @ v)
-    if vn2 == 0.0:
-        return x.copy()
-    return x - (2.0 * (v @ x) / vn2) * v
+    vn = float(np.hypot.reduce(v))  # v @ v would overflow or underflow near 1e+-200
+    u = v / vn if vn > 0.0 else v
+    return x - (2.0 * (u @ x)) * u
 
 
 def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     """Factor X as H_1 ... H_p [T; 0] with T upper triangular.
 
-    Under the standard policy this is one LAPACK ``dgeqrt`` call; other
-    policies build each reflector in a loop that stores it in the same layout.
+    Under the standard policy this is one LAPACK ``dgeqrt`` call; other policies
+    run ``dgeqrfp`` per pivot column and ``dormqr`` on the block to its right.
     Raises RankDeficiencyError at the first column that _check_column finds
     dependent on the previous ones.
     """
@@ -146,21 +145,19 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
     if policy.kind == "standard":
         return _standard_qr(X)
-    signs = policy.signs or (-1,) * p
     col_norms = np.hypot.reduce(X, axis=0)  # ||x_k||, with no overflow near 1e200
-    A = X.copy()
-    packed = np.zeros((n, p), order="F")
+    A = np.array(X, order="F")  # ends with the reflectors below its diagonal and T on and above
     tau = np.zeros(p)
-    for k, col_norm in enumerate(col_norms.tolist()):
-        _check_column(k, float(np.linalg.norm(A[k:, k])), col_norm)
-        v = make_reflector(A[:, k], k + 1, signs[k])
-        vn2 = float(v @ v)
-        if vn2 > 0.0:  # then v[k] != 0: make_reflector returns v = 0 where it cancels
-            A[k:, k:] -= np.outer(v[k:], (2.0 / vn2) * (v[k:] @ A[k:, k:]))
-            packed[k + 1:, k] = v[k + 1:] / v[k]
-            tau[k] = 2.0 * v[k] ** 2 / vn2
-        A[k + 1:, k] = 0.0  # with v = 0 (H_k = I) this drops the sub-diagonal dust
-    return HouseholderQR(n=n, p=p, packed=packed, tau=tau, T=A[:p].copy(), col_norms=col_norms)
+    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, col_norms.tolist())):
+        # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
+        a, t, _ = dgeqrfp(-d * A[k:, k:k + 1])
+        _check_column(k, a[0, 0], col_norm)  # a[0, 0] is the pivot tail norm, taken by dnrm2
+        if t[0] <= CANCEL_TOL:  # dlarfp's tau_k = |v_k| / (pivot tail norm): H_k = I
+            A[k + 1:, k] = 0.0
+            continue
+        A[k:, k + 1:] = dormqr("L", "T", a, t, A[k:, k + 1:], p)[0]
+        A[k, k], A[k + 1:, k], tau[k] = -d * a[0, 0], a[1:, 0], t[0]
+    return HouseholderQR(n=n, p=p, packed=A, tau=tau, T=np.triu(A[:p]), col_norms=col_norms)
 
 
 def _check_column(k: int, tail: float, col_norm: float) -> None:

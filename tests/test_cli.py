@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,13 @@ class TestQr:
         X = [[1.0, 1e200], [1.0, -2e200], [1.0, 4e200], [1.0, 0.0]]
         code, out = run(capsys, ["qr", write_csv(tmp_path / "x.csv", X)])
         assert code == 0 and out["rank_count"] == 2
+
+    @pytest.mark.parametrize("policy", [["to-positive"], ["custom", "--signs", "1,-1"]])
+    def test_entries_near_1e200_with_positive_pivot(self, tmp_path, capsys, policy):
+        X = [[1.0, 1e200], [1.0, -2e200], [1.0, 4e200], [1.0, 0.0]]
+        code, out = run(capsys, ["qr", write_csv(tmp_path / "x.csv", X), "--policy", *policy])
+        assert code == 0 and out["rank_count"] == 2
+        assert out["T"][1][1] == pytest.approx(4.330127018922193e200, rel=1e-14)
 
     def test_rank_formula_violation(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(orthocomp, "_svd_rank", lambda M: 0)
@@ -479,6 +490,18 @@ class TestOutput:
         data = json.loads(dest.read_text())
         np.testing.assert_allclose(data["beta_hat"], [1.5])
         assert data["manifest"]["output"] == str(dest)
+
+    def test_closed_stdout(self, tmp_path):
+        # a reader that quits early (`orthores residuals big.csv | head -c 10`)
+        path = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [4.0]])
+        src = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src)))
+        proc = subprocess.Popen([sys.executable, "-m", "orthores.cli", "residuals", path],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # no reader is left, so the first write fails with EPIPE
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "cannot write stdout" in err and "Traceback" not in err
 
     def test_unwritable_out(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "out.json"

@@ -13,6 +13,7 @@ from orthores import (
     explicit_orthocomplement_basis,
     householder_qr,
     make_reflector,
+    rank_count,
     reconstruct,
 )
 
@@ -50,6 +51,18 @@ class TestMakeReflector:
         with pytest.raises(ValueError):
             make_reflector([1.0, 2.0], 3, 1)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("x,k,sign", [
+        ([1.0, 1.0], 1, 1),
+        ([3.0, 4.0], 1, -1),
+        ([0.5, -2.0, 1.0, 3.0, -1.5], 2, 1),
+    ])
+    def test_scale_safe(self, x, k, sign, scale):
+        # the tail norm neither overflows nor underflows: v(c x) = c v(x)
+        expected = scale * make_reflector(x, k, sign)
+        np.testing.assert_allclose(make_reflector(scale * np.array(x), k, sign), expected,
+                                   rtol=1e-15, atol=0.0)
+
 
 class TestApplyReflection:
     def test_defining_example(self):
@@ -68,6 +81,21 @@ class TestApplyReflection:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_reflection([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("v,x", [
+        ([1.0, 1.0], [1.0, 0.0]),
+        ([3.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
+        ([0.0, 2.5, -1.0, 0.5], [1.0, -2.0, 0.25, 4.0]),
+    ])
+    def test_scale_safe(self, v, x, scale):
+        # H(c v) = H(v), and H(v) (c x) = c H(v) x
+        hx = apply_reflection(v, x)
+        atol = 1e-15 * np.linalg.norm(x)
+        np.testing.assert_allclose(apply_reflection(scale * np.array(v), x), hx,
+                                   rtol=0.0, atol=atol)
+        np.testing.assert_allclose(apply_reflection(v, scale * np.array(x)) / scale, hx,
+                                   rtol=0.0, atol=atol)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
@@ -213,24 +241,23 @@ class TestStandardAgainstLoop:
         from orthores import core
 
         def fail(*args):
-            raise AssertionError("reflector loop ran under the standard policy")
+            raise AssertionError("per-column dgeqrfp loop ran under the standard policy")
 
-        monkeypatch.setattr(core, "make_reflector", fail)
+        monkeypatch.setattr(core, "dgeqrfp", fail)
         qr = householder_qr(np.arange(12.0).reshape(4, 3) ** 1.5)
         assert qr.nonzero_reflector_count == 3
 
 
 class TestLoopPolicies:
-    """Outputs of the reflector loop, pinned to values it gave before it
-    used make_reflector."""
+    """Outputs of the per-column dgeqrfp loop, pinned bit for bit."""
 
     def test_to_positive(self):
         X = [[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [-1.0, 0.25, 4.0], [3.0, 1.0, 1.0]]
         qr = householder_qr(X, TO_POSITIVE)
         np.testing.assert_array_equal(qr.T, [
-            [3.872983346207417, 0.9682458365518545, -0.5163977794943224],
-            [0.0, 3.181980515339464, -1.257078722109418],
-            [0.0, 0.0, 4.404893462928824]])
+            [3.8729833462074166, 0.9682458365518545, -0.5163977794943224],
+            [0.0, 3.1819805153394647, -1.2570787221094184],
+            [0.0, 0.0, 4.4048934629288246]])
         for k, v in enumerate([
                 [-1.872983346207417, 1.0, -1.0, 3.0],
                 [0.0, -1.2328418807313843, 1.3008613653919205, -2.1525840961757616],
@@ -239,10 +266,46 @@ class TestLoopPolicies:
 
     def test_custom_with_identity_reflection(self):
         qr = householder_qr([[1.0, 2.0], [0.0, 1.0], [0.0, 1.0]], SignPolicy.custom([-1, 1]))
-        np.testing.assert_array_equal(qr.T, [[1.0, 2.0], [0.0, -1.414213562373095]])
+        np.testing.assert_array_equal(qr.T, [[1.0, 2.0], [0.0, -1.4142135623730951]])
         assert qr.tau[0] == 0.0
         _assert_reflection(qr, 0, [0.0, 0.0, 0.0])
         _assert_reflection(qr, 1, [0.0, 2.414213562373095, 1.0])
+
+
+LOOP_POLICIES = [TO_POSITIVE, SignPolicy.custom([1, -1])]
+
+
+class TestLoopRange:
+    """The to-positive/custom factorization at the ends of the float range, and
+    a zero reflector before a later column."""
+
+    X_BIG = np.array([[1.0, 1e200], [1.0, -2e200], [1.0, 4e200], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("policy", LOOP_POLICIES)
+    def test_entries_near_1e200(self, policy):
+        qr = householder_qr(self.X_BIG, policy)
+        assert qr.T[1, 1] > 0.0  # d_2 = -1 under both policies
+        np.testing.assert_allclose(qr.T[1, 1], 4.330127018922193e200, rtol=1e-14)
+        assert rank_count(qr, self.X_BIG) == 2
+        scale = np.hypot.reduce(self.X_BIG.ravel())  # ||X||, which np.linalg.norm overflows
+        assert np.max(np.abs(reconstruct(qr) - self.X_BIG)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("policy", [TO_POSITIVE, SignPolicy.custom([1, -1, 1])])
+    def test_entries_near_1e_minus_200(self, policy):
+        X = np.array([[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [-1.0, 0.25, 4.0], [3.0, 1.0, 1.0]])
+        qr = householder_qr(1e-200 * X, policy)
+        assert np.max(np.abs(qr.T / 1e-200 - householder_qr(X, policy).T)) <= 1e-14
+
+    def test_zero_reflector_before_a_later_column(self):
+        # X = Q B with Q = I - (2/4) 1 1^T: column 2 cancels to 1e-7 of its pivot,
+        # so H_2 = I, and H_3 is built from the column H_2 left alone
+        Q = np.eye(4) - 0.5 * np.ones((4, 4))
+        B = np.array([[2.0, 1.0, 0.3], [0.0, 1.0, 0.7], [0.0, 1e-7, 0.5], [0.0, 0.0, 0.9]])
+        X = Q @ B
+        qr = householder_qr(X, TO_POSITIVE)
+        assert qr.tau[1] == 0.0
+        np.testing.assert_allclose(qr.tau[2], 0.514357, rtol=1e-6)
+        assert np.max(np.abs(reconstruct(qr) - X)) <= 1e-7
 
 
 def _loop_cases():
