@@ -207,7 +207,10 @@ def cmd_indep(args) -> None:
     rss = fit.rss
     result = construct(fit)
     wss = float(result.W @ result.W)
-    rel_err = abs(wss - rss) / rss if rss != 0.0 else abs(wss)
+    # below n eps ||Y||^2 a sum of squares is rounding noise at the data's
+    # scale (a response in col(X)), so the identity is held to that floor
+    scale = max(rss, n * np.finfo(np.float64).eps * float(Y @ Y))
+    rel_err = abs(wss - rss) / scale if scale != 0.0 else abs(wss)
     if not rel_err < args.tol:  # NaN fails too
         raise CliError(EXIT_IDENTITY,
                        f"sum-of-squares identity violated: wss={wss!r}, rss={rss!r}")

@@ -249,14 +249,15 @@ def _simulation_design(cfg: SimulationConfig) -> np.ndarray:
 
 def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     """Seeded replication of the regression model, reporting the empirical
-    moments of W and of R^T R / sigma^2.
+    moments of W and of R^T R / sigma^2.  W's mean and covariance are
+    those of R mapped by W = L R.
 
     The sum-of-squares identity is checked exactly per replicate (max
     relative error over replicates); the distributional claims are only
     checked through moments.
     """
     X = _simulation_design(cfg)
-    n, p = cfg.n, cfg.p
+    n = cfg.n
     hat = X @ np.linalg.solve(X.T @ X, X.T)
     annihilator = np.eye(n) - hat
 
@@ -269,11 +270,11 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
 
     rng = np.random.default_rng(cfg.seed)
     mean_signal = X @ cfg.beta
+    # W = L R with L = [X_(p) S | I_(n-p)], so W's moments are L-images of R's
+    L = _apply_s(S, X, np.eye(n), None)[1]
 
     reps = cfg.replicates
     batch = min(reps, 20000)
-    sum_W = np.zeros(n - p)
-    sum_WW = np.zeros((n - p, n - p))
     sum_R = np.zeros(n)
     sum_RR = np.zeros((n, n))
     sum_rss = 0.0
@@ -282,24 +283,25 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     done = 0
     while done < reps:
         m = min(batch, reps - done)
-        Y = mean_signal[:, None] + cfg.sigma * rng.standard_normal((n, m))
+        Y = rng.standard_normal((n, m))  # scaled and shifted in place, with no n x m temporaries
+        Y *= cfg.sigma
+        Y += mean_signal[:, None]
         R = annihilator @ Y
-        W = _apply_s(S, X, R, None)[1]
+        W = _apply_s(S, X, R, None)[1]  # the real W, for the per-replicate identity check
         rss = np.einsum("ij,ij->j", R, R)
         wss = np.einsum("ij,ij->j", W, W)
         max_err = max(max_err, float(np.max(np.abs(wss - rss) / rss)))
-        sum_W += W.sum(axis=1)
-        sum_WW += W @ W.T
         sum_R += R.sum(axis=1)
         sum_RR += R @ R.T
         sum_rss += float(rss.sum())
         sum_rss2 += float((rss * rss).sum())
         done += m
 
-    mean_W = sum_W / reps
-    cov_W = sum_WW / reps - np.outer(mean_W, mean_W)
     mean_R = sum_R / reps
     cov_R = sum_RR / reps - np.outer(mean_R, mean_R)
+    mean_W = L @ mean_R
+    cov_W = L @ cov_R @ L.T
+    cov_W = (cov_W + cov_W.T) / 2.0  # exactly symmetric, as cov_R is
     s2 = cfg.sigma ** 2
     mean_rss = sum_rss / reps
     var_rss = sum_rss2 / reps - mean_rss ** 2

@@ -208,6 +208,29 @@ class TestIndep:
         path = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [3.0]])
         assert main(["indep", str(path), "--mode", "univariate"]) == 2
 
+    @pytest.mark.parametrize("value,n", [(0.1, 7), (3.0, 5), (0.0, 4)])
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    def test_constant_response(self, tmp_path, capsys, value, n, variant):
+        # rss is rounding noise (5.4e-33 for 0.1 in 7 rows), so the identity
+        # is held to the floor n eps ||Y||^2, not to rss itself
+        path = write_csv(tmp_path / "y.csv", [[value]] * n)
+        code, out = run(capsys, ["indep", path, "--mode", "student", "--variant", variant])
+        assert code == 0
+        floor = n * np.finfo(float).eps * (n * value ** 2)  # n eps ||Y||^2
+        assert abs(out["wss"] - out["rss"]) <= 1e-10 * floor
+
+    @pytest.mark.parametrize("mode", ["univariate", "general"])
+    def test_response_in_col_x(self, tmp_path, capsys, mode):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((9, 1 if mode == "univariate" else 3))
+        y = 1.1 + X @ (0.3 - np.arange(X.shape[1]))
+        if mode == "general":  # no intercept is added in general mode
+            X = np.column_stack([np.ones(9), X])
+        path = write_csv(tmp_path / "xy.csv", np.column_stack([X, y]).tolist())
+        code, out = run(capsys, ["indep", path, "--mode", mode])
+        assert code == 0
+        assert out["rss"] < 1e-25
+
     def test_overflowing_sum_of_squares(self, tmp_path, capsys):
         # R'R and W'W overflow to inf, so the identity check sees NaN
         path = write_csv(tmp_path / "big.csv", [[1e200], [-2e200], [4e200]])

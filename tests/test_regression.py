@@ -117,6 +117,20 @@ class TestScaleCovariance:
         assert beta_err <= 1e-12 * np.linalg.norm(out.beta_star)
 
 
+class TestScaleInvariantIdentity:
+    """W'W = R'R holds to rounding whatever the scale of X's columns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 6), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+           log_d=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6))
+    def test_sum_of_squares(self, p, extra, seed, log_d):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((p + extra, p)) * 10.0 ** np.array(log_d[:p])
+        fit = fit_least_squares(X, rng.standard_normal(p + extra))
+        W = independent_residuals(fit, s_from_qr(fit.qr, X)).W
+        assert abs(W @ W - fit.rss) <= 1e-12 * fit.rss
+
+
 class TestIndependentResiduals:
     def test_zero_residuals(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from orthores import (
+    STANDARD,
     SimulationConfig,
     benchmark_apply,
     check_battery,
     cheng_matrix,
+    householder_qr,
     idempotent_check,
     monte_carlo,
     oracle_compare,
+    s_from_qr,
     verify_theorem6_roots,
     verify_theorem7_condition,
 )
+from orthores.regression import student_coefficient, univariate_coefficients
+from orthores.validation import _simulation_design
 
 
 class TestTheorem6:
@@ -151,6 +156,38 @@ class TestMonteCarlo:
                                          replicates=20000))
         assert abs(report.mean_rss_over_sigma2 - 8.0) < 0.15
         assert abs(report.var_rss_over_sigma2 - 16.0) < 1.5
+
+    @pytest.mark.parametrize("construction,p", [
+        ("generic", 3), ("student-minus", 1), ("student-plus", 1),
+        ("univariate-a", 2), ("univariate-b", 2)])
+    def test_moments_against_per_replicate_w(self, construction, p):
+        """R from the draws as mean + sigma Z, W one replicate at a time."""
+        cfg = self.config(p=p, beta=np.linspace(1.0, -0.5, p), sigma=0.7,
+                          construction=construction)
+        report = monte_carlo(cfg)
+        n, m = cfg.n, cfg.replicates
+        X = _simulation_design(cfg)
+        if construction == "generic":
+            S = s_from_qr(householder_qr(X, STANDARD), X).S
+        elif construction.startswith("student"):
+            S = student_coefficient(n, construction.split("-")[1])
+        else:
+            S = univariate_coefficients(X[:, 1], n, construction[-1])
+        Z = np.random.default_rng(cfg.seed).standard_normal((n, m))
+        Y = (X @ cfg.beta)[:, None] + cfg.sigma * Z
+        R = (np.eye(n) - X @ np.linalg.solve(X.T @ X, X.T)) @ Y
+        W = np.column_stack([R[p:, j] + X[p:] @ (S @ R[:p, j]) for j in range(m)])
+
+        mean_R = R.sum(axis=1) / m
+        assert np.array_equal(report.cov_R, R @ R.T / m - np.outer(mean_R, mean_R))
+        rss = np.einsum("ij,ij->j", R, R)
+        mean_rss = float(rss.sum()) / m
+        assert report.mean_rss_over_sigma2 == mean_rss / cfg.sigma ** 2
+        assert report.var_rss_over_sigma2 == \
+            (float((rss * rss).sum()) / m - mean_rss ** 2) / (cfg.sigma ** 2) ** 2
+        np.testing.assert_allclose(report.mean_W, W.mean(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.cov_W, np.cov(W, bias=True), rtol=0, atol=1e-12)
+        assert np.array_equal(report.cov_W, report.cov_W.T)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
