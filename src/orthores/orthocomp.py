@@ -83,8 +83,7 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
     idx = _rows(sel, p, X.shape[0])
     v = S @ x[idx]
     if isinstance(idx, slice):  # the first p rows: views suffice
-        # numpy's matmul is slow with inner dimension 1; each entry is one product either way
-        return v, x[p:] + (X[p:] * v if p == 1 and x.ndim == 2 else X[p:] @ v)
+        return v, x[p:] + X[p:] @ v
     return v, np.delete(x + X @ v, idx, axis=0)  # every row, then drop the p selected
 
 

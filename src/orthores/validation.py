@@ -270,8 +270,6 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
 
     rng = np.random.default_rng(cfg.seed)
     mean_signal = X @ cfg.beta
-    # W = L R with L = [X_(p) S | I_(n-p)], so W's moments are L-images of R's
-    L = _apply_s(S, X, np.eye(n), None)[1]
 
     reps = cfg.replicates
     batch = min(reps, 20000)
@@ -299,8 +297,10 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
 
     mean_R = sum_R / reps
     cov_R = sum_RR / reps - np.outer(mean_R, mean_R)
-    mean_W = L @ mean_R
-    cov_W = L @ cov_R @ L.T
+    # W = L R with L = [X_(p) S | I_(n-p)], so W's moments are L-images of R's,
+    # and L cov_R L^T is L applied to the columns of (L cov_R)^T (cov_R symmetric)
+    mean_W = _apply_s(S, X, mean_R, None)[1]
+    cov_W = _apply_s(S, X, _apply_s(S, X, cov_R, None)[1].T, None)[1]
     cov_W = (cov_W + cov_W.T) / 2.0  # exactly symmetric, as cov_R is
     s2 = cfg.sigma ** 2
     mean_rss = sum_rss / reps

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -230,6 +231,17 @@ class TestIndep:
         code, out = run(capsys, ["indep", path, "--mode", mode])
         assert code == 0
         assert out["rss"] < 1e-25
+
+    @pytest.mark.parametrize("factor,code", [(1.0, 0), (1e10, 4)])
+    def test_squared_norm_of_y_overflows(self, tmp_path, capsys, monkeypatch, factor, code):
+        # ||Y||^2 is about 3e310 and overflows while R'R (6.7e281) does not; the
+        # floor must stay finite, or the check would pass any finite W'W
+        student_w = cli.student_w
+        monkeypatch.setattr(cli, "student_w", lambda y, variant: dataclasses.replace(
+            student_w(y, variant), W=factor * student_w(y, variant).W))
+        path = write_csv(tmp_path / "big.csv", [[1e155], [1e155], [1e155 + 1e140]])
+        with np.errstate(over="ignore"):
+            assert main(["indep", path, "--mode", "student"]) == code
 
     def test_overflowing_sum_of_squares(self, tmp_path, capsys):
         # R'R and W'W overflow to inf, so the identity check sees NaN

@@ -428,15 +428,6 @@ class TestSelectionKernel:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(v[:, j], sp.S @ B[list(rows), j], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(9,), (9, 4)])
-    def test_one_row_matches_matmul_exactly(self, shape):
-        # p = 1 takes a broadcast product for a block; each entry is one product
-        rng = np.random.default_rng(11)
-        X, S, x = rng.standard_normal((9, 1)), rng.standard_normal((1, 1)), rng.standard_normal(shape)
-        v, out = _apply_s(S, X, x, None)
-        assert out.shape == (8, *shape[1:])
-        assert np.array_equal(out, x[1:] + X[1:] @ (S @ x[:1]))
-
     def test_out_of_range_selection(self):
         rng, X, _, _, sp = self.setup_case(12, (1, 5, 9), 7)
         x = random_orthocomplement_vector(X, rng)
