@@ -8,6 +8,7 @@ HouseholderQR) and applies them with one ``dormqr`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,12 @@ CANCEL_TOL = 1e-12
 
 class RankDeficiencyError(Exception):
     """The input matrix does not have full column rank."""
+
+
+def _every(mask: np.ndarray) -> bool:
+    """mask.all(), without the Python-level dispatch of ndarray.all, which
+    costs more than the test itself on the few entries of a p-sized check."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def as_matrix(a) -> np.ndarray:
@@ -144,7 +151,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     if policy.kind == "custom" and len(policy.signs) != p:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
     if policy.kind == "standard":
-        return _standard_qr(X)
+        return _factor(np.add(X, 0.0, order="F"), p)[0]
     col_norms = np.hypot.reduce(X, axis=0)  # ||x_k||, with no overflow near 1e200
     A = np.array(X, order="F")  # ends with the reflectors below its diagonal and T on and above
     tau = np.zeros(p)
@@ -168,28 +175,41 @@ def _check_column(k: int, tail: float, col_norm: float) -> None:
         )
 
 
-def _standard_qr(X: np.ndarray) -> HouseholderQR:
-    """Standard-sign factorization: LAPACK's H_k = I - tau_k u_k u_k^T.
+@lru_cache(maxsize=64)
+def _strict_lower(p: int) -> np.ndarray:
+    """The p x p mask below the diagonal; read-only, since callers share it."""
+    mask = np.tri(p, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
-    dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm), the standard sign;
-    adding 0.0 turns a -0.0 pivot, for which it picks +, into +0.0.  A zero
-    tail gives tau_k = 0 (H_k = I) where the standard reflection is
-    I - 2 e_k e_k^T, which only negates row k of T.  dgeqrf writes the same
-    layout, but took 8 ms against 0.05 ms at 2000x6 (2-core VM, 2 BLAS threads).
+
+def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
+    """The standard-sign QR of the first p columns of A, an n x m Fortran-order
+    array (m >= p) that LAPACK's ``dgeqrt`` overwrites, and the array itself.
+
+    With block size p the first p columns are dgeqrt's first panel, so they
+    factor as they would alone, and the top p rows of any further column end
+    as (Q^T a_j)^(p).  dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm),
+    the standard sign; a -0.0 pivot, for which it picks +, needs A's -0.0
+    entries turned into +0.0 first.  A zero tail gives tau_k = 0 (H_k = I)
+    where the standard reflection is I - 2 e_k e_k^T, which only negates row
+    k, the entries of further columns included.  dgeqrf writes the same
+    layout, but took 8 ms against 0.05 ms at 2000x6 (2-core VM, 2 BLAS
+    threads).
     """
-    n, p = X.shape
-    a, wy, _ = dgeqrt(p, np.add(X, 0.0, order="F"), overwrite_a=True)  # info < 0 needs p > n
-    tau = wy.diagonal().copy()  # the block factor's diagonal; the rest of it is not kept
-    T = a[:p].copy()  # below its diagonal a holds the reflectors
-    for k, t in enumerate(tau.tolist()):
-        T[k, :k] = 0.0
-        if t == 0.0:  # u_k is zero below the diagonal already
-            T[k, k:] = 0.0 - T[k, k:]  # 0.0 - keeps the zeros positive
+    n = A.shape[0]
+    a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
+    tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
+    if np.count_nonzero(tau) < p:
+        for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
+            a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
             tau[k] = 2.0
+    T = np.where(_strict_lower(p), 0.0, a[:p, :p])  # below its diagonal a holds the reflectors
     col_norms = np.hypot.reduce(T, axis=0)  # ||T e_k|| = ||x_k||; row signs do not move it
     for k, (t, col_norm) in enumerate(zip(T.diagonal().tolist(), col_norms.tolist())):
         _check_column(k, abs(t), col_norm)  # |T_kk| is the pivot tail norm
-    return HouseholderQR(n=n, p=p, packed=a, tau=tau, T=T, col_norms=col_norms)
+    qr = HouseholderQR(n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=col_norms)
+    return qr, a
 
 
 def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:

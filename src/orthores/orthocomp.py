@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
-from .core import HouseholderQR, as_matrix, as_vector, householder_qr
+from .core import HouseholderQR, _every, as_matrix, as_vector, householder_qr
 
 # |pivot| below this is treated as a zero reflector in the recursion.
 PIVOT_TOL = 1e-10
@@ -54,9 +54,14 @@ class RowSelection:
         idx = _rows(self, len(self.indices), n)
         if isinstance(idx, slice):  # the first rows already lead
             return np.arange(n)
-        keep = np.ones(n, dtype=bool)
-        keep[idx] = False
-        return np.concatenate([idx, np.flatnonzero(keep)])
+        return np.concatenate([idx, _unselected(idx, n).nonzero()[0]])
+
+
+def _unselected(idx: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the n rows that are not in idx."""
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return keep
 
 
 def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
@@ -84,7 +89,7 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
     v = S @ x[idx]
     if isinstance(idx, slice):  # the first p rows: views suffice
         return v, x[p:] + X[p:] @ v
-    return v, np.delete(x + X @ v, idx, axis=0)  # every row, then drop the p selected
+    return v, (x + X @ v)[_unselected(idx, X.shape[0])]  # every row, then drop the p selected
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ def _solve(A: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
     A zero LU pivot or a non-finite result raises SingularMatrixError.  No
     tolerance, so scaling a column of A does not move the test."""
     lu, piv, X, info = dgesv(A, B)
-    if info > 0 or not np.isfinite(X).all():  # info < 0 (a bad argument) needs non-square
+    if info > 0 or not _every(np.isfinite(X)):  # info < 0 (a bad argument) needs non-square
         raise SingularMatrixError(f"{name} is numerically singular")
     return X, lu, piv
 
@@ -242,7 +247,7 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
         raise ValueError("projector size does not match X")
     # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
     err = np.abs(X.T @ x) / sp.col_norms
-    if not (err <= ORTHO_TOL * np.linalg.norm(x)).all():  # a NaN fails too
+    if not _every(err <= ORTHO_TOL * np.linalg.norm(x)):  # a NaN fails too
         raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {np.max(err):.3e})")
     return _apply_s(sp.S, X, x, sel)[1]
 

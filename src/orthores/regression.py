@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .core import RANK_TOL, STANDARD, HouseholderQR, apply_Qt, as_matrix, as_vector, householder_qr
+from .core import RANK_TOL, HouseholderQR, _every, _factor, as_matrix, as_vector
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 # Normal equations: |x_k^T R| <= XTR_TOL ||x_k|| ||Y|| for each column, scale-free.
 XTR_TOL = 1e-8
 
-# Threshold on the p = 2 variant-(a) determinant below which the rank-one
-# singular branch is taken.
+# The p = 2 variant-(a) determinant factor (sqrt(n) - 1)(1 - t2) - t1 at or
+# below this fraction of |(sqrt(n) - 1)(1 - t2)| + |t1| takes the rank-one
+# singular branch.
 SINGULAR_DET_TOL = 1e-10
 
 
@@ -58,7 +59,8 @@ class StandardizedPredictor:
 
 
 def fit_least_squares(X, Y) -> RegressionFit:
-    """QR-based least squares: back-substitute T beta = (Q^T Y)^(p)."""
+    """QR-based least squares from one factorization of [X | Y]: the top of its
+    last column is z = (Q^T Y)^(p), and T beta = z is back-substituted."""
     X = as_matrix(X)
     Y = as_vector(Y)
     n, p = X.shape
@@ -66,16 +68,20 @@ def fit_least_squares(X, Y) -> RegressionFit:
         raise ValueError(f"Y has length {Y.size}, X has {n} rows")
     if p >= n:
         raise ValueError(f"need p < n, got {n}x{p}")
-    qr = householder_qr(X, STANDARD)
-    z = apply_Qt(qr, Y)[:p]
-    if not (np.isfinite(qr.T).all() and np.isfinite(z).all()):
+    A = np.empty((n, p + 1), order="F")
+    np.add(X, 0.0, out=A[:, :p])  # -0.0 entries become +0.0 (see _factor)
+    A[:, p] = Y
+    qr, a = _factor(A, p)  # the rank test reads the first p columns only
+    head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
+    z = head[:p]
+    if not (_every(np.isfinite(qr.T)) and _every(np.isfinite(z))):
         raise ValueError("array must not contain infs or NaNs")
     # T^T is lower triangular and already in LAPACK's column-major order;
-    # info > 0 (a zero T_kk) cannot follow householder_qr's rank check
+    # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, z, lower=1, trans=1)
     R = Y - X @ beta
     err = np.abs(X.T @ R) / qr.col_norms
-    if not (err <= XTR_TOL * np.linalg.norm(Y)).all():  # a NaN fails too
+    if not _every(err <= XTR_TOL * np.hypot.reduce(head)):  # a NaN fails too
         raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
     return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
 
@@ -112,7 +118,7 @@ def student_w(Y, variant: str = "minus") -> IndependentResiduals:
     Y = as_vector(Y)
     n = Y.size
     S = student_coefficient(n, variant)
-    mean = float(np.mean(Y))
+    mean = float(Y.sum() / n)
     return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S)
 
 
@@ -124,11 +130,13 @@ def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
     the standard-sign Householder T and has no singular case.
     """
     t = as_vector(t)
-    rn = np.sqrt(n)
+    rn = math.sqrt(n)
     t1, t2 = float(t[0]), float(t[1])
     if variant == "a":
-        den = (rn - 1.0) * (1.0 - t2) - t1
-        if abs(den) < SINGULAR_DET_TOL:  # rank one: the mean-only "plus" S, padded
+        lead = (rn - 1.0) * (1.0 - t2)
+        den = lead - t1
+        if abs(den) <= SINGULAR_DET_TOL * (abs(lead) + abs(t1)):  # relative to what cancels
+            # rank one: the mean-only "plus" S, padded
             return np.pad(student_coefficient(n, "plus"), (0, 1))
         return np.array([[1.0 - t2, t1], [1.0, rn - 1.0]]) / den
     if variant == "b":
@@ -149,23 +157,25 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
         raise ValueError("need at least 3 observations")
     if tv.size != n:
         raise ValueError(f"predictor length {tv.size} != {n}")
-    a_hat = float(np.mean(Y))
+    a_hat = float(Y.sum() / n)
     b_hat = float(tv @ Y)
     R = Y - a_hat - b_hat * tv
-    X = np.column_stack([np.ones(n), tv])
+    X = np.empty((n, 2))  # [1, t]; column_stack costs more than the fill
+    X[:, 0] = 1.0
+    X[:, 1] = tv
     return _construct(X, np.array([a_hat, b_hat]), R, univariate_coefficients(tv, n, variant))
 
 
 def standardize_predictor(raw) -> StandardizedPredictor:
     """Affine map of the raw predictor to sum zero, sum of squares one."""
     raw = as_vector(raw)
-    shift = float(np.mean(raw))
+    shift = float(raw.sum() / raw.size)
     centered = raw - shift
-    scale = float(np.linalg.norm(centered))
-    if scale <= RANK_TOL * float(np.linalg.norm(raw)):  # the rank test on [1, raw]
+    scale = math.sqrt(centered.dot(centered))  # np.linalg.norm's own sum, bit for bit
+    if scale <= RANK_TOL * math.sqrt(raw.dot(raw)):  # the rank test on [1, raw]
         raise ValueError("predictor is constant (collinear with the intercept)")
     t = centered / scale
     # one refinement pass to pin the sum-zero invariant at rounding level
-    t = t - np.mean(t)
-    t = t / np.linalg.norm(t)
+    t = t - t.sum() / t.size
+    t = t / math.sqrt(t.dot(t))
     return StandardizedPredictor(t=t, shift=shift, scale=scale)

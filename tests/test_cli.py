@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthores import cli, orthocomp, regression, validation
+from scipy.linalg.lapack import dgeqrt
+
+from orthores import cli, core, orthocomp, regression, validation
 from orthores.cli import main, read_csv_matrix
 
 
@@ -243,6 +245,20 @@ class TestIndep:
         with np.errstate(over="ignore"):
             assert main(["indep", path, "--mode", "student"]) == code
 
+    def test_big_column_raises_no_warning(self, tmp_path):
+        # ||Y|| of about 1.7e155: a norm taken as sqrt(Y @ Y) overflows, warns,
+        # and under -W error::RuntimeWarning ends in a traceback (exit 1)
+        path = write_csv(tmp_path / "big.csv", [[1e155], [1e155], [1.000000000000001e155]])
+        src = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src)))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "orthores.cli",
+                               "indep", path, "--mode", "student"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["rss"] > 0.0 and len(out["W"]) == 2
+
     def test_overflowing_sum_of_squares(self, tmp_path, capsys):
         # R'R and W'W overflow to inf, so the identity check sees NaN
         path = write_csv(tmp_path / "big.csv", [[1e200], [-2e200], [4e200]])
@@ -278,16 +294,14 @@ class TestIndep:
     @pytest.mark.parametrize("rows,calls", [(None, 1), ("0,1,2", 1), ("1,4,7", 1)])
     def test_general_factors_once_without_permutation(self, tmp_path, capsys, monkeypatch,
                                                       rows, calls):
+        # every factorization on the standard-sign path is one LAPACK dgeqrt call
         counted = []
 
-        def counting(qr_fn):
-            def wrapper(*args, **kwargs):
-                counted.append(1)
-                return qr_fn(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return dgeqrt(*args, **kwargs)
 
-        for module in (regression, orthocomp):
-            monkeypatch.setattr(module, "householder_qr", counting(module.householder_qr))
+        monkeypatch.setattr(core, "dgeqrt", counting)
         rng = np.random.default_rng(2)
         data = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
         path = write_csv(tmp_path / "g.csv", data.round(8).tolist())

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrtrs
 
-from orthores import regression
+from orthores import core, regression
 from orthores import (
     STANDARD,
     TO_POSITIVE,
     RankDeficiencyError,
     RowSelection,
+    apply_Qt,
     explicit_orthocomplement_basis,
     fit_least_squares,
     householder_qr,
@@ -87,6 +91,103 @@ class TestFit:
         (X if where == "X" else Y)[2, ...] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             fit_least_squares(X, Y)
+
+
+class TestBorderedFit:
+    """The fit factors [X | Y] once.  Its first p columns are dgeqrt's first
+    panel, so the QR of X is the one householder_qr gives; the top of the last
+    column is z, which the route through householder_qr, apply_Qt and dtrtrs
+    takes from a second pass over Y."""
+
+    @staticmethod
+    def two_pass(X, Y):
+        qr = householder_qr(X)
+        z = apply_Qt(qr, Y)[:qr.p]
+        beta = dtrtrs(qr.T.T, z, lower=1, trans=1)[0]
+        return qr, beta, Y - X @ beta
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 6), extra=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           log_d=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6),
+           log_c=st.floats(-8.0, 8.0))
+    def test_matches_the_two_pass_route(self, p, extra, seed, log_d, log_c):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((p + extra, p)) * 10.0 ** np.array(log_d[:p])
+        Y = 10.0 ** log_c * rng.standard_normal(p + extra)
+        fit = fit_least_squares(X, Y)
+        qr, beta, R = self.two_pass(X, Y)
+        for field in ("T", "packed", "tau", "col_norms"):
+            assert np.array_equal(getattr(fit.qr, field), getattr(qr, field)), field
+        norm_y = np.linalg.norm(Y)
+        assert (np.abs(fit.beta_hat - beta) * qr.col_norms <= 1e-13 * norm_y).all()
+        assert (np.abs(fit.residuals - R) <= 1e-13 * norm_y).all()
+
+    def test_one_factorization_and_no_second_pass(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            lapack = getattr(core, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return lapack(*args, **kwargs)
+            return wrapper
+
+        for name in ("dgeqrt", "dormqr"):
+            monkeypatch.setattr(core, name, counting(name))
+        X = np.column_stack([np.ones(9), np.arange(9.0)])
+        fit_least_squares(X, np.sin(np.arange(9.0)))
+        assert calls == ["dgeqrt"]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_response_in_column_space(self, exact):
+        # a zero last tail is not a rank error: the rank test reads X's columns only
+        if exact:  # both of X's tails are zero too, so tau = 0 and the fix-up negates z
+            X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+            Y = np.array([2.0, -3.0, 0.0, 0.0])
+        else:
+            X = np.random.default_rng(3).standard_normal((12, 4))
+            Y = X @ np.array([1.0, -2.0, 0.5, 3.0])
+        fit = fit_least_squares(X, Y)
+        assert fit.rss <= (1e-14 * np.linalg.norm(Y)) ** 2
+        if exact:
+            assert fit.rss == 0.0
+            np.testing.assert_array_equal(fit.beta_hat, [2.0, -3.0])
+
+    @pytest.mark.parametrize("where", ["X", "Y"])
+    @pytest.mark.parametrize("row", [1, 7])  # on and below X's diagonal
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, where, row, value):
+        rng = np.random.default_rng(4)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        (X[row, 1:2] if where == "X" else Y[row:row + 1])[...] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_least_squares(X, Y)
+
+    def test_rank_error_names_the_first_dependent_column(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 10))
+        X = np.column_stack([a, b, a + b, 2.0 * b])  # columns 3 and 4 are dependent
+        with pytest.raises(RankDeficiencyError, match="at column 3:"):
+            fit_least_squares(X, rng.standard_normal(10))
+        with pytest.raises(RankDeficiencyError, match="at column 3:"):
+            householder_qr(X)
+
+    @pytest.mark.parametrize("error", [0.0, 1e-6])
+    def test_normal_equation_bound_does_not_overflow(self, monkeypatch, error):
+        # ||Y|| of about 1.7e155 overflows Y @ Y; the bound must stay finite,
+        # so that a wrong beta at this scale is still caught
+        true_dtrtrs = regression.dtrtrs
+        monkeypatch.setattr(regression, "dtrtrs", lambda *a, **kw: (
+            true_dtrtrs(*a, **kw)[0] * (1.0 + error), 0))
+        Y = np.array([1e155, 1e155, 1.000000000000001e155])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error:
+                with pytest.raises(ArithmeticError, match="normal-equation"):
+                    fit_least_squares(np.ones((3, 1)), Y)
+            else:
+                assert fit_least_squares(np.ones((3, 1)), Y).rss > 0.0
 
 
 class TestScaleCovariance:
@@ -335,6 +436,35 @@ class TestUnivariateSingularBranch:
         out = univariate_w(sp, Y, "a")
         np.testing.assert_allclose(out.W, R[2:] + R[0], atol=1e-12)
         assert abs(out.W @ out.W - R @ R) <= 1e-10 * (R @ R)
+
+
+class TestUnivariateSingularTolerance:
+    """Variant a's determinant factor (sqrt(n) - 1)(1 - t2) - t1 is judged
+    against the size of its two terms, which moves with n and t."""
+
+    @staticmethod
+    def t_at(n, t2, rel):
+        # t1 makes the factor rel times the sum of its terms' sizes
+        lead = (np.sqrt(n) - 1.0) * (1.0 - t2)
+        return np.array([lead * (1.0 - 2.0 * rel), t2])
+
+    @pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
+    @pytest.mark.parametrize("t2", [0.0, 0.5])  # terms of about sqrt(n)
+    def test_perturbed_factor_takes_rank_one_branch(self, n, t2):
+        AB = univariate_coefficients(self.t_at(n, t2, 1e-12), n, "a")
+        np.testing.assert_array_equal(AB, np.pad(student_coefficient(n, "plus"), (0, 1)))
+
+    @pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
+    def test_small_terms_keep_the_regular_branch(self, n):
+        # a standardized predictor near the singular set: its terms are about
+        # 1 / sqrt(n), so 1e-8 of them is far from singular
+        t2 = 1.0 - 1.0 / (np.sqrt(n) * (np.sqrt(n) - 1.0))
+        t = self.t_at(n, t2, 1e-8)
+        AB = univariate_coefficients(t, n, "a")
+        den = (np.sqrt(n) - 1.0) * (1.0 - t[1]) - t[0]
+        np.testing.assert_allclose(AB, np.array([[1.0 - t[1], t[0]], [1.0, np.sqrt(n) - 1.0]]) / den,
+                                   rtol=1e-12)
+        assert AB[1, 1] != 0.0
 
 
 class TestStandardizePredictor:
