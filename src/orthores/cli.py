@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, householder_qr
+from .core import STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, _norm, householder_qr
 from .orthocomp import RowSelection, _rows, rank_count, s_from_qr
 from .regression import (
     fit_least_squares,
@@ -208,12 +208,8 @@ def cmd_indep(args) -> None:
     result = construct(fit)
     wss = float(result.W @ result.W)
     # below n eps ||Y||^2 a sum of squares is rounding noise at the data's
-    # scale (a response in col(X)), so the identity is held to that floor;
-    # Y @ Y overflows above about 1e154 while R'R may not, so hypot then
-    with np.errstate(over="ignore"):
-        yy = float(Y @ Y)
-    norm = np.sqrt(yy) if np.isfinite(yy) else float(np.hypot.reduce(Y))
-    floor = (np.sqrt(n * np.finfo(np.float64).eps) * norm) ** 2
+    # scale (a response in col(X)), so the identity is held to that floor
+    floor = (np.sqrt(n * np.finfo(np.float64).eps) * _norm(Y)) ** 2
     scale = max(rss, floor) if np.isfinite(floor) else rss
     rel_err = abs(wss - rss) / scale if scale != 0.0 else abs(wss)
     if not rel_err < args.tol:  # NaN fails too

@@ -7,6 +7,7 @@ HouseholderQR) and applies them with one ``dormqr`` call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -25,6 +26,14 @@ CANCEL_TOL = 1e-12
 
 class RankDeficiencyError(Exception):
     """The input matrix does not have full column rank."""
+
+
+@np.errstate(over="ignore", under="ignore")
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 with no overflow, underflow or warning: np.linalg.norm's sqrt(v . v) where
+    v . v is finite and normal, else np.hypot.reduce, scaled as in Higham (2002) and dnrm2."""
+    ss = float(v.dot(v))
+    return math.sqrt(ss) if 2.0 ** -1022 <= ss < math.inf else float(np.hypot.reduce(v))
 
 
 def _every(mask: np.ndarray) -> bool:
@@ -141,8 +150,8 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
 
     Under the standard policy this is one LAPACK ``dgeqrt`` call; other policies
     run ``dgeqrfp`` per pivot column and ``dormqr`` on the block to its right.
-    Raises RankDeficiencyError at the first column that _check_column finds
-    dependent on the previous ones.
+    Raises ValueError or RankDeficiencyError at the first column that
+    _check_column finds non-finite or dependent on the previous ones.
     """
     X = as_matrix(X)
     n, p = X.shape
@@ -168,7 +177,9 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
 
 
 def _check_column(k: int, tail: float, col_norm: float) -> None:
-    """The rank test: column k is dependent when its pivot tail <= RANK_TOL ||x_k||."""
+    """The finiteness gate, then the rank test: pivot tail <= RANK_TOL ||x_k||."""
+    if not col_norm < math.inf:  # NaN fails too
+        raise ValueError("array must not contain infs or NaNs")
     if tail <= RANK_TOL * col_norm:
         raise RankDeficiencyError(
             f"rank deficiency detected at column {k + 1}: pivot tail norm {tail:.3e}"

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
-from .core import HouseholderQR, _every, as_matrix, as_vector, householder_qr
+from .core import HouseholderQR, _every, _norm, as_matrix, as_vector, householder_qr
 
 # |pivot| below this is treated as a zero reflector in the recursion.
 PIVOT_TOL = 1e-10
@@ -80,16 +80,18 @@ def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
     return sel._index_array
 
 
-def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray,
-             sel: RowSelection | None) -> tuple[np.ndarray, np.ndarray]:
-    """v = S x^(p) and x_(p) + X_(p) v for a vector or an n x m block x,
-    without permuting or gathering the n rows of X."""
+def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | None,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """v = S x^(p) and x_(p) + X_(p) v, written to ``out`` if given, for a vector
+    or an n x m block x, without permuting or gathering the n rows of X."""
     p = S.shape[0]
     idx = _rows(sel, p, X.shape[0])
     v = S @ x[idx]
     if isinstance(idx, slice):  # the first p rows: views suffice
-        return v, x[p:] + X[p:] @ v
-    return v, (x + X @ v)[_unselected(idx, X.shape[0])]  # every row, then drop the p selected
+        # summed in place, bit for bit, since a fresh n-row array page-faults again
+        return v, np.add(W := np.matmul(X[p:], v, out=out), x[p:], out=W)
+    keep = _unselected(idx, X.shape[0])  # every row, then drop the p selected
+    return v, (x + X @ v)[keep] if out is None else np.compress(keep, x + X @ v, axis=0, out=out)
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
         raise ValueError("projector size does not match X")
     # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
     err = np.abs(X.T @ x) / sp.col_norms
-    if not _every(err <= ORTHO_TOL * np.linalg.norm(x)):  # a NaN fails too
+    if not _every(err <= ORTHO_TOL * _norm(x)):  # a NaN fails too
         raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {np.max(err):.3e})")
     return _apply_s(sp.S, X, x, sel)[1]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .core import RANK_TOL, HouseholderQR, _every, _factor, as_matrix, as_vector
+from .core import RANK_TOL, HouseholderQR, _every, _factor, _norm, as_matrix, as_vector
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 # Normal equations: |x_k^T R| <= XTR_TOL ||x_k|| ||Y|| for each column, scale-free.
@@ -71,14 +71,13 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A = np.empty((n, p + 1), order="F")
     np.add(X, 0.0, out=A[:, :p])  # -0.0 entries become +0.0 (see _factor)
     A[:, p] = Y
-    qr, a = _factor(A, p)  # the rank test reads the first p columns only
+    qr, a = _factor(A, p)  # its finiteness gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
-    z = head[:p]
-    if not (_every(np.isfinite(qr.T)) and _every(np.isfinite(z))):
+    if not _every(np.isfinite(head)):  # an inf or NaN in Y
         raise ValueError("array must not contain infs or NaNs")
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
-    beta, _ = dtrtrs(qr.T.T, z, lower=1, trans=1)
+    beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
     R = Y - X @ beta
     err = np.abs(X.T @ R) / qr.col_norms
     if not _every(err <= XTR_TOL * np.hypot.reduce(head)):  # a NaN fails too
@@ -171,11 +170,11 @@ def standardize_predictor(raw) -> StandardizedPredictor:
     raw = as_vector(raw)
     shift = float(raw.sum() / raw.size)
     centered = raw - shift
-    scale = math.sqrt(centered.dot(centered))  # np.linalg.norm's own sum, bit for bit
-    if scale <= RANK_TOL * math.sqrt(raw.dot(raw)):  # the rank test on [1, raw]
+    scale = _norm(centered)
+    if scale <= RANK_TOL * math.hypot(scale, math.sqrt(raw.size) * shift):  # = ||raw||
         raise ValueError("predictor is constant (collinear with the intercept)")
     t = centered / scale
     # one refinement pass to pin the sum-zero invariant at rounding level
     t = t - t.sum() / t.size
-    t = t / math.sqrt(t.dot(t))
+    t = t / _norm(t)
     return StandardizedPredictor(t=t, shift=shift, scale=scale)

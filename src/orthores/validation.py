@@ -22,6 +22,7 @@ IDEMPOTENT_TOL = 1e-10
 CONDITION_TOL = 1e-9
 AGREEMENT_TOL = 1e-10  # apply routes against the explicit basis, relative to max(1, ||x||)
 
+MC_BATCH = 20000  # Monte Carlo replicates drawn per pass
 MIN_SAMPLE_S = 1e-3  # shortest timing sample; faster calls are looped
 
 CONSTRUCTIONS = ("generic", "student-minus", "student-plus", "univariate-a", "univariate-b")
@@ -272,7 +273,8 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     mean_signal = X @ cfg.beta
 
     reps = cfg.replicates
-    batch = min(reps, 20000)
+    batch = min(reps, MC_BATCH)
+    draws, resid = np.empty((2, n * batch))  # [:n * m] of each is a C-contiguous n x m block
     sum_R = np.zeros(n)
     sum_RR = np.zeros((n, n))
     sum_rss = 0.0
@@ -281,11 +283,11 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     done = 0
     while done < reps:
         m = min(batch, reps - done)
-        Y = rng.standard_normal((n, m))  # scaled and shifted in place, with no n x m temporaries
+        Y = rng.standard_normal(out=draws[:n * m].reshape(n, m))  # scaled and shifted in place
         Y *= cfg.sigma
         Y += mean_signal[:, None]
-        R = annihilator @ Y
-        W = _apply_s(S, X, R, None)[1]  # the real W, for the per-replicate identity check
+        R = np.matmul(annihilator, Y, out=resid[:n * m].reshape(n, m))
+        W = _apply_s(S, X, R, None, out=draws[:(n - cfg.p) * m].reshape(-1, m))[1]  # overwrites Y
         rss = np.einsum("ij,ij->j", R, R)
         wss = np.einsum("ij,ij->j", W, W)
         max_err = max(max_err, float(np.max(np.abs(wss - rss) / rss)))

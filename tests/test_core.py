@@ -134,6 +134,17 @@ class TestHouseholderQR:
         with pytest.raises(ValueError):
             householder_qr(np.eye(3)[:, :2], SignPolicy.custom([1]))
 
+    @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE, SignPolicy.custom([1, -1, 1])],
+                             ids=["standard", "to-positive", "custom"])
+    @pytest.mark.parametrize("row,col,value", [(0, 1, np.inf), (4, 2, np.nan)])
+    def test_non_finite_entry(self, policy, row, col, value):
+        # an inf on row 0 makes both the pivot tail and ||x_k|| inf, which the
+        # rank test alone read as dependent; a NaN passed it and gave a NaN T
+        X = np.random.default_rng(6).standard_normal((10, 3))
+        X[row, col] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            householder_qr(X, policy)
+
     @pytest.mark.parametrize("n,p,seed", [(5, 1, 0), (20, 3, 1), (80, 7, 2), (200, 10, 3)])
     def test_reconstruction_and_nonzero_reflectors(self, n, p, seed):
         rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,22 @@ class TestOrthocomplementApply:
             with pytest.raises(ValueError, match="not orthogonal"):
                 orthocomplement_apply(s_from_qr(householder_qr(X), X), X, x)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160])
+    def test_guard_at_any_scale(self, scale):
+        # ||x||^2 overflows at 1e160, and a guard bound taken from it went inf
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((50, 3))
+        sp = s_from_qr(householder_qr(X), X)
+        x = random_orthocomplement_vector(X, rng)
+        x0 = X @ rng.standard_normal(3)
+        bad = x + 1e-3 * np.linalg.norm(x) * x0 / np.linalg.norm(x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = orthocomplement_apply(sp, X, scale * x)
+            with pytest.raises(ValueError, match="not orthogonal"):
+                orthocomplement_apply(sp, X, scale * bad)
+        np.testing.assert_allclose(out, scale * orthocomplement_apply(sp, X, x), rtol=1e-13)
+
     def test_builders_record_column_norms(self):
         rng = np.random.default_rng(13)
         Q = np.linalg.qr(rng.standard_normal((15, 3)))[0]
@@ -423,6 +441,9 @@ class TestSelectionKernel:
         B = np.column_stack([random_orthocomplement_vector(X, rng) for _ in range(3)])
         v, out = _apply_s(sp.S, X, B, sel)
         assert v.shape == (len(rows), 3) and out.shape == (n - len(rows), 3)
+        buffer = np.empty_like(out)  # the caller's storage, with the same values
+        assert _apply_s(sp.S, X, B, sel, out=buffer)[1] is buffer
+        np.testing.assert_array_equal(buffer, out)
         for j in range(3):
             np.testing.assert_allclose(out[:, j], orthocomplement_apply(sp, X, B[:, j], sel),
                                        rtol=0, atol=1e-12)

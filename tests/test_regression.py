@@ -155,7 +155,7 @@ class TestBorderedFit:
             np.testing.assert_array_equal(fit.beta_hat, [2.0, -3.0])
 
     @pytest.mark.parametrize("where", ["X", "Y"])
-    @pytest.mark.parametrize("row", [1, 7])  # on and below X's diagonal
+    @pytest.mark.parametrize("row", [0, 1, 7])  # above, on and below X's diagonal
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries(self, where, row, value):
         rng = np.random.default_rng(4)
@@ -502,6 +502,17 @@ class TestStandardizePredictor:
         raw = np.random.default_rng(12).standard_normal(30)
         np.testing.assert_allclose(standardize_predictor(scale * raw).t,
                                    standardize_predictor(raw).t, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e155, 1e160])
+    def test_norms_neither_overflow_nor_underflow(self, scale):
+        # the sums of squares underflow (1e-170) or overflow (1e155, 1e160),
+        # which once read a non-constant predictor as constant, or warned
+        z = np.random.default_rng(13).standard_normal(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = standardize_predictor(scale * z).t
+        np.testing.assert_allclose(t, standardize_predictor(z).t,
+                                   rtol=0, atol=4 * np.finfo(float).eps)
 
 
 class TestClosedFormsMatchGenericBuilders:

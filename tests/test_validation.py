@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from orthores import (
     verify_theorem7_condition,
 )
 from orthores.regression import student_coefficient, univariate_coefficients
-from orthores.validation import _simulation_design
+from orthores.validation import MC_BATCH, _simulation_design
 
 
 class TestTheorem6:
@@ -157,37 +158,61 @@ class TestMonteCarlo:
         assert abs(report.mean_rss_over_sigma2 - 8.0) < 0.15
         assert abs(report.var_rss_over_sigma2 - 16.0) < 1.5
 
+    def assert_matches_per_replicate_w(self, cfg):
+        """R from the draws as mean + sigma Z, drawn and mapped batch by batch
+        as monte_carlo does; W one replicate at a time."""
+        report = monte_carlo(cfg)
+        n, m, p = cfg.n, cfg.replicates, cfg.p
+        X = _simulation_design(cfg)
+        if cfg.construction == "generic":
+            S = s_from_qr(householder_qr(X, STANDARD), X).S
+        elif cfg.construction.startswith("student"):
+            S = student_coefficient(n, cfg.construction.split("-")[1])
+        else:
+            S = univariate_coefficients(X[:, 1], n, cfg.construction[-1])
+        rng = np.random.default_rng(cfg.seed)
+        annihilator = np.eye(n) - X @ np.linalg.solve(X.T @ X, X.T)
+        batches = [annihilator @ ((X @ cfg.beta)[:, None] +
+                                  cfg.sigma * rng.standard_normal((n, min(MC_BATCH, m - j))))
+                   for j in range(0, m, MC_BATCH)]
+        R = np.hstack(batches)
+        W = np.column_stack([R[p:, j] + X[p:] @ (S @ R[:p, j]) for j in range(m)])
+
+        mean_R = sum(Rb.sum(axis=1) for Rb in batches) / m
+        sum_RR = sum(Rb @ Rb.T for Rb in batches)
+        assert np.array_equal(report.cov_R, sum_RR / m - np.outer(mean_R, mean_R))
+        rss = [np.einsum("ij,ij->j", Rb, Rb) for Rb in batches]
+        mean_rss = sum(float(r.sum()) for r in rss) / m
+        assert report.mean_rss_over_sigma2 == mean_rss / cfg.sigma ** 2
+        assert report.var_rss_over_sigma2 == \
+            (sum(float((r * r).sum()) for r in rss) / m - mean_rss ** 2) / (cfg.sigma ** 2) ** 2
+        np.testing.assert_allclose(report.mean_W, W.mean(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.cov_W, np.cov(W, bias=True), rtol=0, atol=1e-12)
+        assert np.array_equal(report.cov_W, report.cov_W.T)
+
     @pytest.mark.parametrize("construction,p", [
         ("generic", 3), ("student-minus", 1), ("student-plus", 1),
         ("univariate-a", 2), ("univariate-b", 2)])
     def test_moments_against_per_replicate_w(self, construction, p):
-        """R from the draws as mean + sigma Z, W one replicate at a time."""
-        cfg = self.config(p=p, beta=np.linspace(1.0, -0.5, p), sigma=0.7,
-                          construction=construction)
-        report = monte_carlo(cfg)
-        n, m = cfg.n, cfg.replicates
-        X = _simulation_design(cfg)
-        if construction == "generic":
-            S = s_from_qr(householder_qr(X, STANDARD), X).S
-        elif construction.startswith("student"):
-            S = student_coefficient(n, construction.split("-")[1])
-        else:
-            S = univariate_coefficients(X[:, 1], n, construction[-1])
-        Z = np.random.default_rng(cfg.seed).standard_normal((n, m))
-        Y = (X @ cfg.beta)[:, None] + cfg.sigma * Z
-        R = (np.eye(n) - X @ np.linalg.solve(X.T @ X, X.T)) @ Y
-        W = np.column_stack([R[p:, j] + X[p:] @ (S @ R[:p, j]) for j in range(m)])
+        self.assert_matches_per_replicate_w(self.config(
+            p=p, beta=np.linspace(1.0, -0.5, p), sigma=0.7, construction=construction))
 
-        mean_R = R.sum(axis=1) / m
-        assert np.array_equal(report.cov_R, R @ R.T / m - np.outer(mean_R, mean_R))
-        rss = np.einsum("ij,ij->j", R, R)
-        mean_rss = float(rss.sum()) / m
-        assert report.mean_rss_over_sigma2 == mean_rss / cfg.sigma ** 2
-        assert report.var_rss_over_sigma2 == \
-            (float((rss * rss).sum()) / m - mean_rss ** 2) / (cfg.sigma ** 2) ** 2
-        np.testing.assert_allclose(report.mean_W, W.mean(axis=1), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.cov_W, np.cov(W, bias=True), rtol=0, atol=1e-12)
-        assert np.array_equal(report.cov_W, report.cov_W.T)
+    def test_moments_over_batches(self):
+        # two full batches and a partial one, in buffers reused across batches
+        self.assert_matches_per_replicate_w(self.config(
+            n=6, p=3, beta=np.linspace(1.0, -0.5, 3), sigma=0.7, replicates=2 * MC_BATCH + 7))
+
+    @pytest.mark.parametrize("reps", [MC_BATCH, 45007])
+    def test_peak_memory_is_two_batch_buffers(self, reps):
+        cfg = self.config(n=100, p=4, beta=np.zeros(4), replicates=reps)
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the draws (later W) and R; a third n x batch array would pass the bound
+        assert peak <= 2.2 * 8 * cfg.n * min(reps, MC_BATCH)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
