@@ -150,8 +150,8 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
 
     Under the standard policy this is one LAPACK ``dgeqrt`` call; other policies
     run ``dgeqrfp`` per pivot column and ``dormqr`` on the block to its right.
-    Raises ValueError or RankDeficiencyError at the first column that
-    _check_column finds non-finite or dependent on the previous ones.
+    Raises ValueError for an inf or NaN in X, else RankDeficiencyError at
+    the first column that _check_column finds dependent on the previous ones.
     """
     X = as_matrix(X)
     n, p = X.shape
@@ -164,7 +164,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     col_norms = np.hypot.reduce(X, axis=0)  # ||x_k||, with no overflow near 1e200
     A = np.array(X, order="F")  # ends with the reflectors below its diagonal and T on and above
     tau = np.zeros(p)
-    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, col_norms.tolist())):
+    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, _check_finite(col_norms))):
         # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
         a, t, _ = dgeqrfp(-d * A[k:, k:k + 1])
         _check_column(k, a[0, 0], col_norm)  # a[0, 0] is the pivot tail norm, taken by dnrm2
@@ -176,10 +176,15 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     return HouseholderQR(n=n, p=p, packed=A, tau=tau, T=np.triu(A[:p]), col_norms=col_norms)
 
 
-def _check_column(k: int, tail: float, col_norm: float) -> None:
-    """The finiteness gate, then the rank test: pivot tail <= RANK_TOL ||x_k||."""
-    if not col_norm < math.inf:  # NaN fails too
+def _check_finite(col_norms: np.ndarray) -> list[float]:
+    """The finiteness gate of every factorization: all column norms, before any rank test."""
+    if not all(map(math.isfinite, norms := col_norms.tolist())):
         raise ValueError("array must not contain infs or NaNs")
+    return norms
+
+
+def _check_column(k: int, tail: float, col_norm: float) -> None:
+    """The rank test: column k is dependent when its pivot tail <= RANK_TOL ||x_k||."""
     if tail <= RANK_TOL * col_norm:
         raise RankDeficiencyError(
             f"rank deficiency detected at column {k + 1}: pivot tail norm {tail:.3e}"
@@ -217,7 +222,7 @@ def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
             tau[k] = 2.0
     T = np.where(_strict_lower(p), 0.0, a[:p, :p])  # below its diagonal a holds the reflectors
     col_norms = np.hypot.reduce(T, axis=0)  # ||T e_k|| = ||x_k||; row signs do not move it
-    for k, (t, col_norm) in enumerate(zip(T.diagonal().tolist(), col_norms.tolist())):
+    for k, (t, col_norm) in enumerate(zip(T.diagonal().tolist(), _check_finite(col_norms))):
         _check_column(k, abs(t), col_norm)  # |T_kk| is the pivot tail norm
     qr = HouseholderQR(n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=col_norms)
     return qr, a

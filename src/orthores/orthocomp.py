@@ -88,10 +88,10 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | No
     idx = _rows(sel, p, X.shape[0])
     v = S @ x[idx]
     if isinstance(idx, slice):  # the first p rows: views suffice
-        # summed in place, bit for bit, since a fresh n-row array page-faults again
-        return v, np.add(W := np.matmul(X[p:], v, out=out), x[p:], out=W)
-    keep = _unselected(idx, X.shape[0])  # every row, then drop the p selected
-    return v, (x + X @ v)[keep] if out is None else np.compress(keep, x + X @ v, axis=0, out=out)
+        W = np.matmul(X[p:], v, out=out)
+        W += x[p:]  # in place, bit for bit, since a fresh n-row array page-faults again
+        return v, W
+    return v, (x + X @ v).compress(_unselected(idx, X.shape[0]), 0, out)  # axis 0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .core import RANK_TOL, HouseholderQR, _every, _factor, _norm, as_matrix, as_vector
+from .core import (RANK_TOL, HouseholderQR, _check_finite, _every, _factor, _norm, as_matrix,
+                   as_vector)
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 # Normal equations: |x_k^T R| <= XTR_TOL ||x_k|| ||Y|| for each column, scale-free.
@@ -73,14 +74,13 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A[:, p] = Y
     qr, a = _factor(A, p)  # its finiteness gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
-    if not _every(np.isfinite(head)):  # an inf or NaN in Y
-        raise ValueError("array must not contain infs or NaNs")
+    (y_norm,) = _check_finite(np.hypot.reduce(head, keepdims=True))  # an inf or NaN in Y fails
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
     R = Y - X @ beta
     err = np.abs(X.T @ R) / qr.col_norms
-    if not _every(err <= XTR_TOL * np.hypot.reduce(head)):  # a NaN fails too
+    if not _every(err <= XTR_TOL * y_norm):  # a NaN fails too
         raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
     return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
 
@@ -176,5 +176,5 @@ def standardize_predictor(raw) -> StandardizedPredictor:
     t = centered / scale
     # one refinement pass to pin the sum-zero invariant at rounding level
     t = t - t.sum() / t.size
-    t = t / _norm(t)
+    t = t / math.sqrt(t.dot(t))  # ||t|| is about 1, so t . t can neither overflow nor underflow
     return StandardizedPredictor(t=t, shift=shift, scale=scale)

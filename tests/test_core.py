@@ -136,11 +136,16 @@ class TestHouseholderQR:
 
     @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE, SignPolicy.custom([1, -1, 1])],
                              ids=["standard", "to-positive", "custom"])
-    @pytest.mark.parametrize("row,col,value", [(0, 1, np.inf), (4, 2, np.nan)])
-    def test_non_finite_entry(self, policy, row, col, value):
+    @pytest.mark.parametrize("row,col,value,dependent", [(0, 1, np.inf, False), (4, 2, np.nan, False),
+                                                         (0, 2, np.inf, True), (4, 2, np.nan, True)])
+    def test_non_finite_entry(self, policy, row, col, value, dependent):
         # an inf on row 0 makes both the pivot tail and ||x_k|| inf, which the
-        # rank test alone read as dependent; a NaN passed it and gave a NaN T
+        # rank test alone read as dependent; a NaN passed it and gave a NaN T;
+        # the gate runs over every column first, so a dependent column 2 before
+        # a non-finite column 3 does not turn it into a rank error
         X = np.random.default_rng(6).standard_normal((10, 3))
+        if dependent:
+            X[:, 1] = 2.0 * X[:, 0]
         X[row, col] = value
         with pytest.raises(ValueError, match="infs or NaNs"):
             householder_qr(X, policy)

@@ -164,6 +164,13 @@ class TestBorderedFit:
         with pytest.raises(ValueError, match="infs or NaNs"):
             fit_least_squares(X, Y)
 
+    def test_non_finite_after_a_dependent_column(self):
+        X = np.random.default_rng(4).standard_normal((10, 3))
+        X[:, 1] = 2.0 * X[:, 0]
+        X[0, 2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_least_squares(X, np.ones(10))
+
     def test_rank_error_names_the_first_dependent_column(self):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 10))
