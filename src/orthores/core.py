@@ -28,12 +28,14 @@ class RankDeficiencyError(Exception):
     """The input matrix does not have full column rank."""
 
 
-@np.errstate(over="ignore", under="ignore")
 def _norm(v: np.ndarray) -> float:
     """||v||_2 with no overflow, underflow or warning: np.linalg.norm's sqrt(v . v) where
     v . v is finite and normal, else np.hypot.reduce, scaled as in Higham (2002) and dnrm2."""
-    ss = float(v.dot(v))
-    return math.sqrt(ss) if 2.0 ** -1022 <= ss < math.inf else float(np.hypot.reduce(v))
+    ss = float(np.vdot(v, v))  # vdot tests no floating-point flags, so needs no errstate
+    if 2.0 ** -1022 <= ss < math.inf:
+        return math.sqrt(ss)
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.hypot.reduce(v))
 
 
 def _every(mask: np.ndarray) -> bool:
@@ -199,6 +201,14 @@ def _strict_lower(p: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _identity(p: int) -> np.ndarray:
+    """The p x p identity; read-only, since callers share it."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
     """The standard-sign QR of the first p columns of A, an n x m Fortran-order
     array (m >= p) that LAPACK's ``dgeqrt`` overwrites, and the array itself.
@@ -220,7 +230,8 @@ def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
         for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
             a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
             tau[k] = 2.0
-    T = np.where(_strict_lower(p), 0.0, a[:p, :p])  # below its diagonal a holds the reflectors
+    T = a[:p, :p].copy()  # C order; below its diagonal a holds the reflectors
+    T[_strict_lower(p)] = 0.0
     col_norms = np.hypot.reduce(T, axis=0)  # ||T e_k|| = ||x_k||; row signs do not move it
     for k, (t, col_norm) in enumerate(zip(T.diagonal().tolist(), _check_finite(col_norms))):
         _check_column(k, abs(t), col_norm)  # |T_kk| is the pivot tail norm
@@ -260,9 +271,10 @@ def explicit_orthocomplement_basis(qr: HouseholderQR) -> np.ndarray:
     if p >= n:
         raise ValueError("orthocomplement is empty when p = n")
     M = np.zeros((n, n - p))
-    M[p:, :] = np.eye(n - p)
+    np.fill_diagonal(M[p:], 1.0)
     for k in reversed(range(p)):  # u_k is zero above row k
         if qr.tau[k] != 0.0:
             u = np.concatenate(([1.0], qr.packed[k + 1:, k]))
-            M[k:] -= np.outer(qr.tau[k] * u, u @ M[k:])
+            for j in range(0, n - p, 256):  # in column blocks: no temporary is the size of M
+                M[k:, j:j + 256] -= np.outer(qr.tau[k] * u, u @ M[k:, j:j + 256])
     return M

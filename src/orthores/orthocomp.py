@@ -8,13 +8,13 @@ rank-one-update recursion covers the singular cases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
-from .core import HouseholderQR, _every, _norm, as_matrix, as_vector, householder_qr
+from .core import HouseholderQR, _every, _identity, _norm, as_matrix, as_vector, householder_qr
 
 # |pivot| below this is treated as a zero reflector in the recursion.
 PIVOT_TOL = 1e-10
@@ -32,22 +32,22 @@ class SingularMatrixError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RowSelection:
-    """Which p rows of X play the role of the 'first p' rows."""
+    """Which p rows of X play the role of the 'first p' rows: strictly increasing Python or
+    numpy ints >= 0, kept as Python ints.  A float (even 1.0) or a bool raises TypeError."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = self.indices
-        if any(i < 0 for i in idx):
+        if bool in map(type, self.indices):  # operator.index would take True as 1
+            raise TypeError("row indices must be integers, not bools")
+        idx = tuple(map(operator.index, self.indices))
+        if idx and min(idx) < 0:
             raise ValueError("row indices must be non-negative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
-
-    @cached_property
-    def _index_array(self) -> np.ndarray:  # built once per selection, and shared
-        idx = np.array(self.indices, dtype=np.intp)
-        idx.flags.writeable = False
-        return idx
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "_index_array", np.array(idx, dtype=np.intp))
+        self._index_array.flags.writeable = False  # built once per selection, and shared
 
     def permutation(self, n: int) -> np.ndarray:
         """Row order putting the selected rows first, the rest in increasing order."""
@@ -86,7 +86,7 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | No
     or an n x m block x, without permuting or gathering the n rows of X."""
     p = S.shape[0]
     idx = _rows(sel, p, X.shape[0])
-    v = S @ x[idx]
+    v = S @ x[idx]  # on a vector, fancy indexing gathers faster than take
     if isinstance(idx, slice):  # the first p rows: views suffice
         W = np.matmul(X[p:], v, out=out)
         W += x[p:]  # in place, bit for bit, since a fresh n-row array page-faults again
@@ -151,7 +151,7 @@ def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
     n, p = X.shape
     if isinstance(_rows(sel, p, n), slice):
         return householder_qr(X)
-    return householder_qr(X[sel.permutation(n)])
+    return householder_qr(X.take(sel.permutation(n), 0))
 
 
 def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProjector:
@@ -169,7 +169,8 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     rows = _rows(sel, p, n)
     if qr.nonzero_reflector_count < p:  # the rank formula
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
-    S = _solve(qr.T - X[rows], np.eye(p), "T - X^(p)")[0]
+    head = X[rows] if isinstance(rows, slice) else X.take(rows, 0)  # take gathers rows faster
+    S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]
     return SProjector(S=S, rank=p, col_norms=qr.col_norms)
 
 

@@ -1,3 +1,11 @@
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +24,7 @@ from orthores import (
     rank_count,
     reconstruct,
 )
+from orthores.core import _norm
 
 
 class TestMakeReflector:
@@ -428,6 +437,69 @@ class TestExplicitBasis:
         U2 = explicit_orthocomplement_basis(qr)
         x = rng.standard_normal(40)
         np.testing.assert_allclose(apply_Qt(qr, x)[6:], U2.T @ x, atol=1e-10)
+
+    def test_peak_memory_is_one_basis(self):
+        # the basis itself is 8 n (n - p) bytes; a full identity block or a
+        # full-width reflector update would each add about as much again
+        n, p = 2000, 5
+        qr = householder_qr(np.random.default_rng(10).standard_normal((n, p)))
+        tracemalloc.start()
+        try:
+            explicit_orthocomplement_basis(qr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * (n - p)
+
+    def test_blocks_match_one_full_width_update(self):
+        # with one BLAS thread each column's u^T M sums in the same order,
+        # however wide the block, so the basis is bit for bit the unblocked one
+        script = (
+            "import numpy as np\n"
+            "from orthores import explicit_orthocomplement_basis, householder_qr\n"
+            "n, p = 700, 4\n"
+            "X = np.random.default_rng(11).standard_normal((n, p))\n"
+            "X[:, 0] = 1.0\n"
+            "qr = householder_qr(X)\n"
+            "M = np.zeros((n, n - p))\n"
+            "M[p:] = np.eye(n - p)\n"
+            "for k in reversed(range(p)):\n"
+            "    u = np.concatenate(([1.0], qr.packed[k + 1:, k]))\n"
+            "    M[k:] -= np.outer(qr.tau[k] * u, u @ M[k:])\n"
+            "assert np.array_equal(explicit_orthocomplement_basis(qr), M)\n"
+        )
+        path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestNorm:
+    def test_equals_the_self_dot_in_the_normal_range(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            v = rng.standard_normal(int(rng.integers(1, 80))) * 10.0 ** rng.uniform(-100, 100)
+            assert _norm(v) == math.sqrt(v.dot(v))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 0.0])
+    def test_no_overflow_or_underflow(self, scale):
+        v = scale * np.random.default_rng(13).standard_normal(9)
+        expected = math.hypot(*v.tolist())
+        assert abs(_norm(v) - expected) <= 4 * np.finfo(float).eps * expected
+        assert (_norm(v) == 0.0) == (scale == 0.0)
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(_norm(np.array([1.0, np.nan, 2.0])))
+
+    # at 1e308 ||v|| itself overflows, to inf
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170, 1e-300, 0.0, np.nan, 1e308])
+    def test_raises_no_warning(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _norm(np.full(9, scale))
+        np.testing.assert_allclose(norm, 3.0 * scale, rtol=4 * np.finfo(float).eps)
 
 
 def test_to_positive_makes_identity_triangular_for_orthonormal_columns():

@@ -73,6 +73,30 @@ class TestRowSelection:
         with pytest.raises(ValueError):
             RowSelection((0, 7)).permutation(5)
 
+    def test_negative(self):
+        with pytest.raises(ValueError):
+            RowSelection((-1, 2))
+
+    # (0.2, 0.7) would truncate to rows (0, 0); (1.0, 6.5) to rows (1, 6)
+    @pytest.mark.parametrize("rows", [(1.0, 6.5), (0.2, 0.7), (1.0,), (0, np.float64(2.0)),
+                                      (True,), (False, True), (np.True_,), (0, 1.5, 3)])
+    def test_non_integers_rejected(self, rows):
+        with pytest.raises(TypeError):
+            RowSelection(rows)
+
+    def test_numpy_integers(self):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((8, 2))
+        z = random_orthocomplement_vector(X, rng)
+        sel = RowSelection((np.int64(1), np.int32(6)))
+        assert sel.indices == (1, 6) and all(type(i) is int for i in sel.indices)
+        assert sel == RowSelection((1, 6)) and hash(sel) == hash(RowSelection((1, 6)))
+        assert RowSelection(np.array([1, 6])).indices == (1, 6)
+        W = orthocomplement_apply(s_from_qr(qr_for_selection(X, sel), X, sel), X, z, sel)
+        ref = RowSelection((1, 6))
+        np.testing.assert_array_equal(
+            W, orthocomplement_apply(s_from_qr(qr_for_selection(X, ref), X, ref), X, z, ref))
+
     @pytest.mark.parametrize("n,rows", SELECTIONS + [(3, (0, 1, 2)), (6, (5,))])
     def test_permutation_matches_listed_order(self, n, rows):
         perm = RowSelection(rows).permutation(n)
