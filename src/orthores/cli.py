@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, _norm, householder_qr
+from .core import (IDENTITY_TOL, STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, _norm,
+                   householder_qr)
 from .orthocomp import RowSelection, _rows, rank_count, s_from_qr
 from .regression import (
     fit_least_squares,
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write JSON here instead of stdout")
     tol = argparse.ArgumentParser(add_help=False)  # for the commands that check identities
-    tol.add_argument("--tol", type=tolerance, default=1e-10,
+    tol.add_argument("--tol", type=tolerance, default=IDENTITY_TOL,
                      help="tolerance for internal identity checks")
 
     p = sub.add_parser("qr", parents=[out], help="Householder factorization of a CSV matrix")

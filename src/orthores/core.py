@@ -15,13 +15,23 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dgeqrfp, dgeqrt, dormqr
 
-# Pivot tail below this fraction of ||x_k|| means column k is linearly dependent
-# on the previous ones (per column, so the scale of each column cancels).
+# The tolerance table: every threshold at which the library takes a float for zero,
+# singular or orthogonal.  Other modules import these names; each line says what the
+# value is compared against and which functions read it.
+# pivot tail <= RANK_TOL ||x_k||: column k is dependent (_check_column, standardize_predictor)
 RANK_TOL = 1e-12
-
-# Relative threshold under which the pivot cancellation is treated as exact,
-# producing a zero reflector (H = I).
+# |v_k| vs the pivot tail norm: an exact cancellation, H_k = I (make_reflector, householder_qr)
 CANCEL_TOL = 1e-12
+# a pivot, singular value or det factor vs its scale (_border, _svd_rank, univariate_coefficients)
+SINGULAR_TOL = 1e-10
+# |cos(x_k, v)|, and a Gram error (orthocomplement_apply, fit_least_squares, _check_orthonormal)
+ORTHO_TOL = 1e-8
+# an identity's error vs its scale (idempotent_check, benchmark_apply, and the CLI's --tol default)
+IDENTITY_TOL = 1e-10
+# the largest entry of the Theorem 7 residual (verify_theorem7_condition)
+CONDITION_TOL = 1e-9
+# the quadratic's roots vs their closed forms 1/(sqrt(n)-1), -1/(sqrt(n)+1) (verify_theorem6_roots)
+ROOTS_TOL = 1e-12
 
 
 class RankDeficiencyError(Exception):

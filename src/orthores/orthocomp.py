@@ -14,16 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
-from .core import HouseholderQR, _every, _identity, _norm, as_matrix, as_vector, householder_qr
-
-# |pivot| below this is treated as a zero reflector in the recursion.
-PIVOT_TOL = 1e-10
-
-# Orthonormality of supplied columns is checked loosely; callers may pass
-# Gram-Schmidt output.
-ORTHO_TOL = 1e-8
-
-RANK_SV_TOL = 1e-10
+from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _every, _identity, _norm, as_matrix,
+                   as_vector, householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -110,13 +102,13 @@ def _border(S: np.ndarray, M: np.ndarray, k: int,
     (D diagonal, D_{k+1,k+1} = ``diagonal``), by one row and column.
 
     Returns the grown matrix and whether its pivot (Schur complement) is
-    nonzero; a pivot below PIVOT_TOL pads S with zeros."""
+    nonzero; a pivot below SINGULAR_TOL pads S with zeros."""
     Scol = S @ M[:k, k]
     rowS = M[k, :k] @ S
     pivot = diagonal - M[k, k] - float(M[k, :k] @ Scol)
     grown = np.zeros((k + 1, k + 1))
     grown[:k, :k] = S
-    if abs(pivot) < PIVOT_TOL:
+    if abs(pivot) < SINGULAR_TOL:
         return grown, False
     grown += np.outer(np.append(Scol, 1.0), np.append(rowS, 1.0)) / pivot
     return grown, True
@@ -135,7 +127,7 @@ def _solve(A: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
 
 def _svd_rank(M: np.ndarray) -> int:
     sv = np.linalg.svd(M, compute_uv=False)  # descending; M = 0 counts no sv > 0
-    return int(np.sum(sv > RANK_SV_TOL * sv[0]))
+    return int(np.sum(sv > SINGULAR_TOL * sv[0]))
 
 
 def _check_orthonormal(X: np.ndarray) -> None:

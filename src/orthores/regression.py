@@ -14,17 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .core import (RANK_TOL, HouseholderQR, _check_finite, _every, _factor, _norm, as_matrix,
-                   as_vector)
+from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every,
+                   _factor, _norm, as_matrix, as_vector)
 from .orthocomp import RowSelection, SProjector, _apply_s
-
-# Normal equations: |x_k^T R| <= XTR_TOL ||x_k|| ||Y|| for each column, scale-free.
-XTR_TOL = 1e-8
-
-# The p = 2 variant-(a) determinant factor (sqrt(n) - 1)(1 - t2) - t1 at or
-# below this fraction of |(sqrt(n) - 1)(1 - t2)| + |t1| takes the rank-one
-# singular branch.
-SINGULAR_DET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ def fit_least_squares(X, Y) -> RegressionFit:
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
     R = Y - X @ beta
     err = np.abs(X.T @ R) / qr.col_norms
-    if not _every(err <= XTR_TOL * y_norm):  # a NaN fails too
+    if not _every(err <= ORTHO_TOL * y_norm):  # |x_k^T R| / ||x_k||; a NaN fails too
         raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
     return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
 
@@ -134,7 +126,7 @@ def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
     if variant == "a":
         lead = (rn - 1.0) * (1.0 - t2)
         den = lead - t1
-        if abs(den) <= SINGULAR_DET_TOL * (abs(lead) + abs(t1)):  # relative to what cancels
+        if abs(den) <= SINGULAR_TOL * (abs(lead) + abs(t1)):  # relative to what cancels
             # rank one: the mean-only "plus" S, padded
             return np.pad(student_coefficient(n, "plus"), (0, 1))
         return np.array([[1.0 - t2, t1], [1.0, rn - 1.0]]) / den

@@ -14,13 +14,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import STANDARD, apply_Qt, as_matrix, explicit_orthocomplement_basis, householder_qr
+from .core import (CONDITION_TOL, IDENTITY_TOL, ROOTS_TOL, STANDARD, apply_Qt, as_matrix,
+                   explicit_orthocomplement_basis, householder_qr)
 from .orthocomp import RowSelection, _apply_s, _rows, _svd_rank, orthocomplement_apply, s_from_qr
 from .regression import student_coefficient, univariate_coefficients
-
-IDEMPOTENT_TOL = 1e-10
-CONDITION_TOL = 1e-9
-AGREEMENT_TOL = 1e-10  # apply routes against the explicit basis, relative to max(1, ||x||)
 
 MC_BATCH = 20000  # Monte Carlo replicates drawn per pass
 MIN_SAMPLE_S = 1e-3  # shortest timing sample; faster calls are looped
@@ -41,8 +38,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.p < 1 or self.p >= self.n:
             raise ValueError(f"need 1 <= p < n, got n={self.n}, p={self.p}")
-        if not 0.0 < self.sigma < np.inf:  # NaN fails too
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        sigma = float(self.sigma)  # a Python float's square overflows to inf with no warning
+        if not (sigma > 0.0 and 2.0 ** -1022 <= sigma * sigma < np.inf):  # NaN fails too
+            raise ValueError(f"sigma must be positive with a normal float square, got {self.sigma}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -84,8 +82,8 @@ def verify_theorem6_roots(n: int) -> tuple[float, float]:
     roots = sorted([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)], reverse=True)
     rn = np.sqrt(n)
     c_plus, c_minus = 1.0 / (rn - 1.0), -1.0 / (rn + 1.0)
-    if abs(roots[0] - c_plus) > 1e-12 * max(1.0, abs(c_plus)) or \
-            abs(roots[1] - c_minus) > 1e-12:
+    if abs(roots[0] - c_plus) > ROOTS_TOL * max(1.0, abs(c_plus)) or \
+            abs(roots[1] - c_minus) > ROOTS_TOL:
         raise ArithmeticError(f"quadratic roots {roots} do not match closed forms")
     return c_plus, c_minus
 
@@ -129,9 +127,9 @@ def idempotent_check(B) -> bool:
     n, m = B.shape
     if n != m:
         raise ValueError("matrix must be square")
-    if float(np.max(np.abs(B - B.T))) >= IDEMPOTENT_TOL * max(1.0, float(np.max(np.abs(B)))):
+    if float(np.max(np.abs(B - B.T))) >= IDENTITY_TOL * max(1.0, float(np.max(np.abs(B)))):
         raise ValueError("matrix must be symmetric")
-    is_idem = float(np.max(np.abs(B @ B - B))) < IDEMPOTENT_TOL
+    is_idem = float(np.max(np.abs(B @ B - B))) < IDENTITY_TOL
     rank_sum_matches = _svd_rank(B) + _svd_rank(np.eye(n) - B) == n
     if is_idem != rank_sum_matches:
         raise ArithmeticError(
@@ -277,8 +275,9 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     draws, resid = np.empty((2, n * batch))  # [:n * m] of each is a C-contiguous n x m block
     sum_R = np.zeros(n)
     sum_RR = np.zeros((n, n))
-    sum_rss = 0.0
-    sum_rss2 = 0.0
+    s2 = cfg.sigma ** 2
+    sum_q = 0.0  # moments of q = rss / sigma^2, which stays near n - p at any sigma
+    sum_q2 = 0.0
     max_err = 0.0
     done = 0
     while done < reps:
@@ -293,8 +292,9 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
         max_err = max(max_err, float(np.max(np.abs(wss - rss) / rss)))
         sum_R += R.sum(axis=1)
         sum_RR += R @ R.T
-        sum_rss += float(rss.sum())
-        sum_rss2 += float((rss * rss).sum())
+        q = np.divide(rss, s2, out=rss)  # rss / sigma^2, in rss's storage
+        sum_q += float(q.sum())
+        sum_q2 += float((q * q).sum())
         done += m
 
     mean_R = sum_R / reps
@@ -304,15 +304,13 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     mean_W = _apply_s(S, X, mean_R, None)[1]
     cov_W = _apply_s(S, X, _apply_s(S, X, cov_R, None)[1].T, None)[1]
     cov_W = (cov_W + cov_W.T) / 2.0  # exactly symmetric, as cov_R is
-    s2 = cfg.sigma ** 2
-    mean_rss = sum_rss / reps
-    var_rss = sum_rss2 / reps - mean_rss ** 2
+    mean_q = sum_q / reps
     return SimulationReport(
         mean_W=mean_W,
         cov_W=cov_W,
         cov_R=cov_R,
-        mean_rss_over_sigma2=mean_rss / s2,
-        var_rss_over_sigma2=var_rss / s2 ** 2,
+        mean_rss_over_sigma2=mean_q,
+        var_rss_over_sigma2=sum_q2 / reps - mean_q ** 2,
         max_ss_identity_error=max_err,
         replicates=reps,
     )
@@ -357,7 +355,7 @@ def benchmark_apply(n_grid: list[int], p: int, repeats: int) -> list[dict]:
         scale = max(1.0, float(np.linalg.norm(x)))
         for method in ("reflect", "closed"):
             err = float(np.max(np.abs(results[method] - results["explicit"])))
-            if err >= AGREEMENT_TOL * scale:
+            if err >= IDENTITY_TOL * scale:  # relative to max(1, ||x||)
                 raise ArithmeticError(
                     f"method {method} disagrees with the explicit basis at n={n}: {err:.3e}"
                 )

@@ -52,6 +52,14 @@ class TestQr:
         path = write_csv(tmp_path / "dup.csv", [[1.0, 1.0]] * 5)
         assert main(["qr", str(path)]) == 3
 
+    @pytest.mark.parametrize("signs", [None, "1,x", "1,0", "1", ""])
+    def test_bad_signs(self, tmp_path, capsys, signs):
+        path = write_csv(tmp_path / "x.csv", [[1.0, 0.5], [1.0, -1.0], [1.0, 2.0]])
+        argv = ["qr", path, "--policy", "custom"] + ([] if signs is None else ["--signs", signs])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "signs" in captured.err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-1e999"])
     def test_non_finite_cell(self, tmp_path, capsys, cell):
         path = write_csv(tmp_path / "nf.csv", [[1.0], [cell], [3.0]])
@@ -160,6 +168,12 @@ class TestReadCsv:
         assert main(["residuals", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "a directory"])
+    def test_unreadable(self, tmp_path, capsys, name):
+        assert main(["residuals", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read" in captured.err
+
 
 class TestResiduals:
     def test_hand_example(self, tmp_path, capsys):
@@ -206,6 +220,12 @@ class TestIndep:
         code, out = run(capsys, ["indep", path, "--mode", "student", "--variant", "plus"])
         assert code == 0
         np.testing.assert_allclose(out["W"], [-2.0, -1.0, 0.0], atol=1e-14)
+
+    def test_general_with_one_column(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [4.0], [3.0]])
+        assert main(["indep", path, "--mode", "general"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 2 columns" in captured.err
 
     def test_mode_mismatch(self, tmp_path, capsys):
         path = write_csv(tmp_path / "y.csv", [[1.0], [2.0], [3.0]])
@@ -407,6 +427,13 @@ class TestSimulate:
             main(["simulate", "--n", "10", "--p", "2", "--construction", "bogus"])
         assert exc.value.code == 2 and capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("env", ["1.5", "x", ""])
+    def test_env_seed_not_an_integer(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("ORTHORES_SEED", env)
+        assert main(["simulate", "--n", "6", "--p", "1", "--reps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ORTHORES_SEED" in captured.err
+
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("ORTHORES_SEED", "99")
         code1, out1 = run(capsys, ["simulate", "--n", "6", "--p", "1", "--reps", "5"])
@@ -500,6 +527,23 @@ class TestCheck:
         assert main(["check", "--n-grid", "5", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--trials" in captured.err
+
+    @pytest.mark.parametrize("grid", ["a", "5,,20", "", "5.5"])
+    def test_grid_not_integers(self, capsys, grid):
+        assert main(["check", "--n-grid", grid, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n-grid" in captured.err
+
+    @pytest.mark.parametrize("name,fault,failure", [
+        ("verify_theorem6_roots", lambda n: 1 / 0, "theorem6_roots"),  # an ArithmeticError
+        ("idempotent_check", lambda B: True, "idempotency_pass"),  # 2I passes too
+        ("idempotent_check", lambda B: False, "idempotency_pass"),  # the projector fails
+    ])
+    def test_injected_faults(self, capsys, monkeypatch, name, fault, failure):
+        monkeypatch.setattr(validation, name, fault)
+        code, out = run(capsys, ["check", "--n-grid", "5", "--trials", "5", "--seed", "0"])
+        assert code == 5
+        assert out["failures"] == [failure]
 
     def test_injected_fault(self, capsys, monkeypatch):
         # every S passes the condition, so the perturbed S does too

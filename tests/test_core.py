@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from orthores import (
     rank_count,
     reconstruct,
 )
+from orthores import cli, core, orthocomp, regression, validation
 from orthores.core import _norm
 
 
@@ -59,6 +61,11 @@ class TestMakeReflector:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             make_reflector([1.0, 2.0], 3, 1)
+
+    @pytest.mark.parametrize("sign", [0, 2, -0.5])
+    def test_bad_sign(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            make_reflector([1.0, 2.0], 1, sign)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     @pytest.mark.parametrize("x,k,sign", [
@@ -142,6 +149,25 @@ class TestHouseholderQR:
     def test_custom_signs_length_checked(self):
         with pytest.raises(ValueError):
             householder_qr(np.eye(3)[:, :2], SignPolicy.custom([1]))
+
+    @pytest.mark.parametrize("kind,signs,message", [
+        ("pivoted", None, "unknown sign policy"),
+        ("custom", None, "custom policy requires signs"),
+        ("standard", (1,), "custom policy requires signs"),
+        ("custom", (1, 0), "must all be"),
+    ])
+    def test_bad_sign_policy(self, kind, signs, message):
+        with pytest.raises(ValueError, match=message):
+            SignPolicy(kind, signs)
+
+    @pytest.mark.parametrize("convert,value", [
+        (core.as_matrix, np.ones(3)), (core.as_matrix, np.ones((2, 2, 2))),
+        (core.as_matrix, np.ones((0, 2))), (core.as_matrix, np.ones((2, 0))),
+        (core.as_vector, np.ones((2, 2))), (core.as_vector, np.ones(0)),
+    ])
+    def test_wrong_shape(self, convert, value):
+        with pytest.raises(ValueError, match="expected a"):
+            convert(value)
 
     @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE, SignPolicy.custom([1, -1, 1])],
                              ids=["standard", "to-positive", "custom"])
@@ -507,3 +533,60 @@ def test_to_positive_makes_identity_triangular_for_orthonormal_columns():
     Xo = np.linalg.qr(rng.standard_normal((15, 4)))[0]
     qr = householder_qr(Xo, TO_POSITIVE)
     np.testing.assert_allclose(qr.T, np.eye(4), atol=1e-12)
+
+
+class TestToleranceTable:
+    TABLE = {"RANK_TOL": 1e-12, "CANCEL_TOL": 1e-12, "SINGULAR_TOL": 1e-10, "ORTHO_TOL": 1e-8,
+             "IDENTITY_TOL": 1e-10, "CONDITION_TOL": 1e-9, "ROOTS_TOL": 1e-12}
+
+    def test_values(self):
+        assert {name: getattr(core, name) for name in dir(core)
+                if name.endswith("_TOL")} == self.TABLE
+
+    @pytest.mark.parametrize("module", [orthocomp, regression, validation, cli],
+                             ids=lambda m: m.__name__)
+    def test_other_modules_import_the_table(self, module):
+        names = [name for name in dir(module) if name.endswith("_TOL")]
+        assert names and all(getattr(module, name) is getattr(core, name) for name in names)
+        # and bind none of their own
+        assert not re.search(r"^[A-Z_]+_TOL *=", Path(module.__file__).read_text(), re.M)
+
+    def test_cli_tol_default(self):
+        args = cli.build_parser().parse_args(["check"])
+        assert args.tol is core.IDENTITY_TOL
+
+
+@st.composite
+def rank_cases(draw):
+    """A design X = H_1 ... H_p [T D; 0] with the diagonal of T in the signs a
+    policy gives and k of the H_j the identity, so that the policy's
+    factorization has exactly those k identity reflections; D scales the
+    columns by 1e-150..1e150.  Under the standard policy k = 0."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, min(7, n)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=p, max_size=p))
+    policy = draw(st.sampled_from([STANDARD, TO_POSITIVE, SignPolicy.custom(signs)]))
+    identity = [False] * p if policy is STANDARD else \
+        draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    exponents = draw(st.lists(st.floats(-150.0, 150.0), min_size=p, max_size=p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = np.array(policy.signs or (-1,) * p, dtype=float)  # T_kk takes the sign -d_k
+    T = np.triu(rng.standard_normal((p, p)), 1) - np.diag(d * rng.uniform(0.5, 2.0, p))
+    X = np.zeros((n, p))
+    X[:p] = T * 10.0 ** np.array(exponents)
+    for k in reversed(range(p)):
+        if not identity[k]:
+            u = np.concatenate(([1.0], rng.standard_normal(n - k - 1)))
+            X[k:] -= np.outer((2.0 / (u @ u)) * u, u @ X[k:])
+    return X, policy, sum(identity)
+
+
+class TestRankFormula:
+    @settings(max_examples=200, deadline=None)
+    @given(case=rank_cases())
+    def test_across_scale_and_policy(self, case):
+        X, policy, k = case
+        qr = householder_qr(X, policy)
+        assert rank_count(qr, X) == X.shape[1] - k
+        err = np.abs(reconstruct(qr) - X).max(axis=0)
+        assert np.all(err <= 1e-12 * np.hypot.reduce(X, axis=0))

@@ -10,6 +10,7 @@ from orthores import (
     RowSelection,
     SignPolicy,
     SingularMatrixError,
+    SProjector,
     apply_Qt,
     explicit_orthocomplement_basis,
     householder_qr,
@@ -117,6 +118,12 @@ class TestSFromQr:
         qr = householder_qr(X, SignPolicy.custom([-1]))
         with pytest.raises(SingularMatrixError):
             s_from_qr(qr, X)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (6, 3)], ids=["other n", "other p"])
+    def test_factorization_of_another_shape(self, shape):
+        qr = householder_qr(np.random.default_rng(4).standard_normal(shape))
+        with pytest.raises(ValueError, match="does not match X"):
+            s_from_qr(qr, np.random.default_rng(3).standard_normal((6, 2)))
 
     def test_zero_reflector_by_cancellation_is_singular(self):
         # column 2 is +e_2 after H_1 up to a 1e-7 tail, so the to-positive
@@ -255,6 +262,11 @@ class TestSFromC:
         with pytest.raises(ValueError):
             s_from_c(np.ones((4, 1)), [[1.0]])
 
+    @pytest.mark.parametrize("C", [np.eye(1), np.ones((2, 3)), np.eye(3)])
+    def test_c_of_another_size(self, C):
+        with pytest.raises(ValueError, match="C must be 2x2"):
+            s_from_c(np.ones((5, 2)), C)
+
 
 class TestSignFix:
     def embed(self, head, n=6):
@@ -269,6 +281,11 @@ class TestSignFix:
     def test_identity_block_flips_first(self):
         d = sign_fix(np.eye(2), self.embed(np.eye(2)))
         assert d[0] == -1.0
+
+    @pytest.mark.parametrize("C", [np.eye(1), np.ones((2, 3)), np.eye(3)])
+    def test_c_of_another_size(self, C):
+        with pytest.raises(ValueError, match="C must be 2x2"):
+            sign_fix(C, np.ones((5, 2)))
 
     def test_mixed_diagonal(self):
         d = sign_fix(np.eye(2), self.embed(np.diag([1.0, -1.0])))
@@ -345,6 +362,15 @@ class TestOrthocomplementApply:
         sp = s_from_c(self.X, [[2.0]])
         with pytest.raises(ValueError):
             orthocomplement_apply(sp, self.X, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("S,x,message", [
+        ([[2.0]], np.zeros(5), "vector length 5 != n = 4"),
+        (np.eye(2), np.zeros(4), "projector size does not match X"),
+    ])
+    def test_wrong_sizes(self, S, x, message):
+        sp = SProjector(S=np.array(S), rank=len(S), col_norms=np.ones(len(S)))
+        with pytest.raises(ValueError, match=message):
+            orthocomplement_apply(sp, self.X, x)
 
     @pytest.mark.parametrize("n,p", [(5, 1), (20, 2), (100, 5)])
     def test_oracle_equivalence_and_norm(self, n, p):
@@ -495,6 +521,12 @@ class TestRankCount:
         X = singular_config(4)
         qr = householder_qr(X, TO_POSITIVE)
         assert rank_count(qr, X) == 1
+
+    @pytest.mark.parametrize("shape", [(5, 2), (6, 3)], ids=["other n", "other p"])
+    def test_factorization_of_another_shape(self, shape):
+        qr = householder_qr(np.random.default_rng(4).standard_normal(shape))
+        with pytest.raises(ValueError, match="does not match X"):
+            rank_count(qr, np.random.default_rng(3).standard_normal((6, 2)))
 
     def test_violation_is_arithmetic_error(self):
         # one zero reflector, but T - X^(1) = [[-3]] has rank 1

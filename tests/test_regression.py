@@ -66,6 +66,12 @@ class TestFit:
         with pytest.raises(RankDeficiencyError):
             fit_least_squares(np.ones((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_y_of_another_length(self, length):
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        with pytest.raises(ValueError, match=f"Y has length {length}, X has 5 rows"):
+            fit_least_squares(X, np.ones(length))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_normal_equation_check_ignores_column_scale(self, seed):
         # |x^T R| grows with ||x||, so a bound that ignores ||x|| fails here
@@ -256,6 +262,13 @@ class TestIndependentResiduals:
         assert out.W.shape == (1,)
         assert abs(abs(out.W[0]) - np.sqrt(1.5)) < 1e-12
 
+    def test_projector_of_another_size(self):
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        fit = fit_least_squares(X, [0.0, 1.0, 0.0, 2.0])
+        sp = s_from_qr(householder_qr(X[:, :1]), X[:, :1])
+        with pytest.raises(ValueError, match="projector size does not match the fit"):
+            independent_residuals(fit, sp)
+
     def test_matches_student_minus(self):
         Y = np.array([2.0, -1.0, 4.0, 0.5, 3.0])
         X = np.ones((5, 1))
@@ -346,6 +359,11 @@ class TestStudentW:
         with pytest.raises(ValueError):
             student_w([1.0], "minus")
 
+    @pytest.mark.parametrize("variant", ["a", "", "Minus"])
+    def test_unknown_variant(self, variant):
+        with pytest.raises(ValueError, match="unknown variant"):
+            student_w([1.0, 2.0, 4.0], variant)
+
     def test_mean_modification_reproduces_w(self):
         rng = np.random.default_rng(7)
         Y = rng.standard_normal(12)
@@ -415,6 +433,16 @@ class TestUnivariateW:
         t = standardize_predictor([0.0, 1.0])
         with pytest.raises(ValueError):
             univariate_w(t, [1.0, 2.0])
+
+    @pytest.mark.parametrize("variant", ["minus", "", "B"])
+    def test_unknown_variant(self, variant):
+        with pytest.raises(ValueError, match="unknown variant"):
+            univariate_w(self.t, self.Y, variant)
+
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_predictor_of_another_length(self, length):
+        with pytest.raises(ValueError, match=f"predictor length 10 != {length}"):
+            univariate_w(self.t, np.ones(length))
 
 
 class TestUnivariateSingularBranch:

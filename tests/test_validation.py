@@ -61,6 +61,11 @@ class TestTheorem7:
         Xo = np.full((4, 1), 0.5)
         assert verify_theorem7_condition([[2.0]], Xo)
 
+    @pytest.mark.parametrize("S", [np.eye(2), np.ones((3, 2)), np.eye(4)])
+    def test_s_of_another_size(self, S):
+        with pytest.raises(ValueError, match="S must be 3x3"):
+            verify_theorem7_condition(S, self.orthonormal(20, 3, 1))
+
 
 class TestChengMatrix:
     def test_n2(self):
@@ -152,6 +157,17 @@ class TestMonteCarlo:
             report = monte_carlo(self.config(construction=construction))
             assert report.max_ss_identity_error < 1e-10
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1e100, 1e150])
+    def test_moments_at_extreme_sigma(self, sigma):
+        """The same draws as at sigma = 1, scaled: the moments of rss / sigma^2
+        neither overflow nor underflow."""
+        at = lambda s: monte_carlo(self.config(n=10, sigma=s, beta=np.zeros(2), replicates=500))
+        one, report = at(1.0), at(sigma)
+        assert report.mean_rss_over_sigma2 == pytest.approx(one.mean_rss_over_sigma2, rel=1e-13)
+        assert report.var_rss_over_sigma2 == pytest.approx(one.var_rss_over_sigma2, rel=1e-12)
+        np.testing.assert_allclose(report.cov_R / sigma ** 2, one.cov_R, rtol=0, atol=1e-13)
+        assert report.max_ss_identity_error < 1e-10
+
     def test_moments_at_scale(self):
         report = monte_carlo(self.config(n=10, sigma=1.0, beta=np.zeros(2),
                                          replicates=20000))
@@ -181,11 +197,11 @@ class TestMonteCarlo:
         mean_R = sum(Rb.sum(axis=1) for Rb in batches) / m
         sum_RR = sum(Rb @ Rb.T for Rb in batches)
         assert np.array_equal(report.cov_R, sum_RR / m - np.outer(mean_R, mean_R))
-        rss = [np.einsum("ij,ij->j", Rb, Rb) for Rb in batches]
-        mean_rss = sum(float(r.sum()) for r in rss) / m
-        assert report.mean_rss_over_sigma2 == mean_rss / cfg.sigma ** 2
-        assert report.var_rss_over_sigma2 == \
-            (sum(float((r * r).sum()) for r in rss) / m - mean_rss ** 2) / (cfg.sigma ** 2) ** 2
+        # the moments of rss / sigma^2, scaled batch by batch
+        q = [np.einsum("ij,ij->j", Rb, Rb) / cfg.sigma ** 2 for Rb in batches]
+        mean_q = sum(float(r.sum()) for r in q) / m
+        assert report.mean_rss_over_sigma2 == mean_q
+        assert report.var_rss_over_sigma2 == sum(float((r * r).sum()) for r in q) / m - mean_q ** 2
         np.testing.assert_allclose(report.mean_W, W.mean(axis=1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(report.cov_W, np.cov(W, bias=True), rtol=0, atol=1e-12)
         assert np.array_equal(report.cov_W, report.cov_W.T)
@@ -213,6 +229,25 @@ class TestMonteCarlo:
             tracemalloc.stop()
         # the draws (later W) and R; a third n x batch array would pass the bound
         assert peak <= 2.2 * 8 * cfg.n * min(reps, MC_BATCH)
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(beta=np.zeros(3)), "beta must have length p=2"),
+        (dict(construction="bogus"), "unknown construction"),
+        (dict(p=3, beta=np.zeros(3), construction="univariate-b"), "require p = 2"),
+        (dict(p=1, beta=np.zeros(1), construction="univariate-a"), "require p = 2"),
+        # sigma^2 must be a normal float: moments are taken of rss / sigma^2
+        (dict(sigma=-1.0), "sigma must be"), (dict(sigma=np.nan), "sigma must be"),
+        (dict(sigma=np.inf), "sigma must be"), (dict(sigma=1e-160), "sigma must be"),
+        (dict(sigma=1e-200), "sigma must be"), (dict(sigma=1e155), "sigma must be"),
+        (dict(sigma=1e200), "sigma must be"), (dict(sigma=np.float64(1e200)), "sigma must be"),
+    ])
+    def test_rejected_config(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            self.config(**changes)
+
+    @pytest.mark.parametrize("sigma", [2.0 ** -511, 1e-150, 1e150, 1.3e154])
+    def test_sigma_with_a_normal_square_accepted(self, sigma):
+        assert self.config(sigma=sigma).sigma == sigma
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
