@@ -46,7 +46,7 @@ def read_csv_matrix(path: str) -> np.ndarray:
     """Read a CSV of floats, skipping blank lines and an optional header
     (a first non-blank row with a cell that is not a number)."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is not a cell
             reader = csv.reader(fh)
             rows = (row for row in reader if row)
             first, skip = next(rows, []), 0
@@ -60,7 +60,7 @@ def read_csv_matrix(path: str) -> np.ndarray:
         with open(path, "rb") as fh:  # numpy parses faster with no quote character
             quotechar = '"' if b'"' in fh.read() else None
         matrix = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
-                            comments=None, quotechar=quotechar)
+                            comments=None, quotechar=quotechar, encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     except ValueError as exc:  # a cell numpy cannot parse, or ragged rows
@@ -227,10 +227,7 @@ def cmd_indep(args) -> None:
 
 def cmd_simulate(args) -> None:
     cfg = SimulationConfig(
-        n=args.n, p=args.p,
-        beta=np.zeros(args.p) if args.beta is None
-        else np.array([float(s) for s in args.beta.split(",")]),
-        sigma=args.sigma, replicates=args.reps,
+        n=args.n, p=args.p, sigma=args.sigma, replicates=args.reps,
         seed=resolve_seed(args), construction=args.construction,
     )
     emit(args, monte_carlo(cfg).to_dict())
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--beta", help="comma-separated coefficients (default zeros)")
     p.add_argument("--construction", default="generic", choices=CONSTRUCTIONS)
     p.set_defaults(func=cmd_simulate)
 

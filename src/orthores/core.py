@@ -62,7 +62,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_vector(a) -> np.ndarray:
-    v = np.ascontiguousarray(a, dtype=np.float64)
+    v = np.asarray(a, dtype=np.float64, order="C")  # a scalar stays 0-d, so it is rejected
     if v.ndim != 1 or v.size < 1:
         raise ValueError("expected a 1-D vector with at least one entry")
     return v

@@ -218,7 +218,7 @@ def test_criterion_8_centering_factorization():
 def test_criterion_9_distributional_moments():
     start = time.perf_counter()
     report_p2 = monte_carlo(SimulationConfig(
-        n=10, p=2, beta=np.zeros(2), sigma=1.0, replicates=100_000,
+        n=10, p=2, sigma=1.0, replicates=100_000,
         seed=2718, construction="generic"))
     checks = {
         "mean rss": abs(report_p2.mean_rss_over_sigma2 - 8.0) < 0.05,
@@ -232,7 +232,7 @@ def test_criterion_9_distributional_moments():
 
     # the -sigma^2/n residual covariance is the mean-only (p = 1) claim
     report_p1 = monte_carlo(SimulationConfig(
-        n=10, p=1, beta=np.zeros(1), sigma=1.0, replicates=100_000,
+        n=10, p=1, sigma=1.0, replicates=100_000,
         seed=2719, construction="student-minus"))
     n, reps = 10, report_p1.replicates
     var_r = (n - 1.0) / n

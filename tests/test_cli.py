@@ -131,6 +131,8 @@ class TestReadCsv:
         ('"x",y\n1,2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),             # a quote in the header only
         ('x,y\n1,"2"\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),             # a quote in a data row only
         ("x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),               # no quote at all
+        ("\ufeff1,2\n3,4\n5,7\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]),  # UTF-8 BOM, data
+        ("\ufeffx,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),               # UTF-8 BOM, header
     ])
     def test_accepted(self, tmp_path, text, expected):
         path = tmp_path / "d.csv"
@@ -404,13 +406,19 @@ class TestSimulate:
     def test_p_not_less_than_n(self, capsys):
         assert main(["simulate", "--n", "10", "--p", "10", "--reps", "1"]) == 2
 
-    @pytest.mark.parametrize("option", [["--sigma", "nan"], ["--sigma", "inf"],
-                                        ["--beta", "nan,1"], ["--beta", "1,inf"]])
+    @pytest.mark.parametrize("option", [["--sigma", "nan"], ["--sigma", "inf"]])
     def test_non_finite_parameter(self, capsys, option):
         code = main(["simulate", "--n", "10", "--p", "2", "--reps", "5", "--seed", "1"] + option)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "must be" in captured.err
+
+    def test_no_beta_option(self, capsys):
+        # beta does not reach the residuals, so simulate takes no coefficients
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "10", "--p", "2", "--reps", "5", "--beta", "1,2"])
+        assert exc.value.code == 2
+        assert "--beta" in capsys.readouterr().err
 
     def test_beyond_memory(self, capsys, monkeypatch):
         def monte_carlo(cfg):

@@ -164,6 +164,7 @@ class TestHouseholderQR:
         (core.as_matrix, np.ones(3)), (core.as_matrix, np.ones((2, 2, 2))),
         (core.as_matrix, np.ones((0, 2))), (core.as_matrix, np.ones((2, 0))),
         (core.as_vector, np.ones((2, 2))), (core.as_vector, np.ones(0)),
+        (core.as_vector, 1.0), (core.as_vector, np.float64(2.0)), (core.as_vector, np.array(3.0)),
     ])
     def test_wrong_shape(self, convert, value):
         with pytest.raises(ValueError, match="expected a"):

@@ -127,7 +127,7 @@ class TestOracleCompare:
 
 class TestMonteCarlo:
     def config(self, **kw):
-        base = dict(n=8, p=2, beta=np.array([1.0, -0.5]), sigma=2.0,
+        base = dict(n=8, p=2, sigma=2.0,
                     replicates=200, seed=123, construction="generic")
         base.update(kw)
         return SimulationConfig(**base)
@@ -148,8 +148,7 @@ class TestMonteCarlo:
 
     def test_student_constructions(self):
         for construction in ("student-minus", "student-plus"):
-            report = monte_carlo(self.config(p=1, beta=np.array([3.0]),
-                                             construction=construction))
+            report = monte_carlo(self.config(p=1, construction=construction))
             assert report.max_ss_identity_error < 1e-10
 
     def test_univariate_constructions(self):
@@ -157,26 +156,29 @@ class TestMonteCarlo:
             report = monte_carlo(self.config(construction=construction))
             assert report.max_ss_identity_error < 1e-10
 
-    @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1e100, 1e150, 1e154])
     def test_moments_at_extreme_sigma(self, sigma):
-        """The same draws as at sigma = 1, scaled: the moments of rss / sigma^2
-        neither overflow nor underflow."""
-        at = lambda s: monte_carlo(self.config(n=10, sigma=s, beta=np.zeros(2), replicates=500))
+        """The run at sigma is the run at unit sigma, scaled once: the moments
+        of rss / sigma^2 and the identity error are the same numbers."""
+        at = lambda s: monte_carlo(self.config(n=10, sigma=s, replicates=500))
         one, report = at(1.0), at(sigma)
-        assert report.mean_rss_over_sigma2 == pytest.approx(one.mean_rss_over_sigma2, rel=1e-13)
-        assert report.var_rss_over_sigma2 == pytest.approx(one.var_rss_over_sigma2, rel=1e-12)
-        np.testing.assert_allclose(report.cov_R / sigma ** 2, one.cov_R, rtol=0, atol=1e-13)
+        assert np.array_equal(report.cov_R, sigma ** 2 * one.cov_R)
+        assert np.array_equal(report.cov_W, sigma ** 2 * one.cov_W)
+        assert np.array_equal(report.mean_W, sigma * one.mean_W)
+        assert report.mean_rss_over_sigma2 == one.mean_rss_over_sigma2
+        assert report.var_rss_over_sigma2 == one.var_rss_over_sigma2
+        assert report.max_ss_identity_error == one.max_ss_identity_error
         assert report.max_ss_identity_error < 1e-10
 
     def test_moments_at_scale(self):
-        report = monte_carlo(self.config(n=10, sigma=1.0, beta=np.zeros(2),
-                                         replicates=20000))
+        report = monte_carlo(self.config(n=10, sigma=1.0, replicates=20000))
         assert abs(report.mean_rss_over_sigma2 - 8.0) < 0.15
         assert abs(report.var_rss_over_sigma2 - 16.0) < 1.5
 
     def assert_matches_per_replicate_w(self, cfg):
-        """R from the draws as mean + sigma Z, drawn and mapped batch by batch
-        as monte_carlo does; W one replicate at a time."""
+        """R' = (I - H) Z at unit sigma, drawn and mapped batch by batch as
+        monte_carlo does, and scaled by sigma at the end; W one replicate at
+        a time."""
         report = monte_carlo(cfg)
         n, m, p = cfg.n, cfg.replicates, cfg.p
         X = _simulation_design(cfg)
@@ -188,22 +190,22 @@ class TestMonteCarlo:
             S = univariate_coefficients(X[:, 1], n, cfg.construction[-1])
         rng = np.random.default_rng(cfg.seed)
         annihilator = np.eye(n) - X @ np.linalg.solve(X.T @ X, X.T)
-        batches = [annihilator @ ((X @ cfg.beta)[:, None] +
-                                  cfg.sigma * rng.standard_normal((n, min(MC_BATCH, m - j))))
+        batches = [annihilator @ rng.standard_normal((n, min(MC_BATCH, m - j)))
                    for j in range(0, m, MC_BATCH)]
         R = np.hstack(batches)
         W = np.column_stack([R[p:, j] + X[p:] @ (S @ R[:p, j]) for j in range(m)])
 
         mean_R = sum(Rb.sum(axis=1) for Rb in batches) / m
         sum_RR = sum(Rb @ Rb.T for Rb in batches)
-        assert np.array_equal(report.cov_R, sum_RR / m - np.outer(mean_R, mean_R))
-        # the moments of rss / sigma^2, scaled batch by batch
-        q = [np.einsum("ij,ij->j", Rb, Rb) / cfg.sigma ** 2 for Rb in batches]
+        s2 = cfg.sigma ** 2
+        assert np.array_equal(report.cov_R, s2 * (sum_RR / m - np.outer(mean_R, mean_R)))
+        # the moments of rss / sigma^2, which is rss' at unit sigma
+        q = [np.einsum("ij,ij->j", Rb, Rb) for Rb in batches]
         mean_q = sum(float(r.sum()) for r in q) / m
         assert report.mean_rss_over_sigma2 == mean_q
         assert report.var_rss_over_sigma2 == sum(float((r * r).sum()) for r in q) / m - mean_q ** 2
-        np.testing.assert_allclose(report.mean_W, W.mean(axis=1), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.cov_W, np.cov(W, bias=True), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.mean_W, cfg.sigma * W.mean(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.cov_W, s2 * np.cov(W, bias=True), rtol=0, atol=1e-12)
         assert np.array_equal(report.cov_W, report.cov_W.T)
 
     @pytest.mark.parametrize("construction,p", [
@@ -211,16 +213,16 @@ class TestMonteCarlo:
         ("univariate-a", 2), ("univariate-b", 2)])
     def test_moments_against_per_replicate_w(self, construction, p):
         self.assert_matches_per_replicate_w(self.config(
-            p=p, beta=np.linspace(1.0, -0.5, p), sigma=0.7, construction=construction))
+            p=p, sigma=0.7, construction=construction))
 
     def test_moments_over_batches(self):
         # two full batches and a partial one, in buffers reused across batches
         self.assert_matches_per_replicate_w(self.config(
-            n=6, p=3, beta=np.linspace(1.0, -0.5, 3), sigma=0.7, replicates=2 * MC_BATCH + 7))
+            n=6, p=3, sigma=0.7, replicates=2 * MC_BATCH + 7))
 
     @pytest.mark.parametrize("reps", [MC_BATCH, 45007])
     def test_peak_memory_is_two_batch_buffers(self, reps):
-        cfg = self.config(n=100, p=4, beta=np.zeros(4), replicates=reps)
+        cfg = self.config(n=100, p=4, replicates=reps)
         tracemalloc.start()
         try:
             monte_carlo(cfg)
@@ -231,11 +233,11 @@ class TestMonteCarlo:
         assert peak <= 2.2 * 8 * cfg.n * min(reps, MC_BATCH)
 
     @pytest.mark.parametrize("changes,message", [
-        (dict(beta=np.zeros(3)), "beta must have length p=2"),
+        (dict(replicates=0), "need at least one replicate"),
         (dict(construction="bogus"), "unknown construction"),
-        (dict(p=3, beta=np.zeros(3), construction="univariate-b"), "require p = 2"),
-        (dict(p=1, beta=np.zeros(1), construction="univariate-a"), "require p = 2"),
-        # sigma^2 must be a normal float: moments are taken of rss / sigma^2
+        (dict(p=3, construction="univariate-b"), "require p = 2"),
+        (dict(p=1, construction="univariate-a"), "require p = 2"),
+        # sigma^2 must be a normal float: it scales the reported covariances
         (dict(sigma=-1.0), "sigma must be"), (dict(sigma=np.nan), "sigma must be"),
         (dict(sigma=np.inf), "sigma must be"), (dict(sigma=1e-160), "sigma must be"),
         (dict(sigma=1e-200), "sigma must be"), (dict(sigma=1e155), "sigma must be"),
