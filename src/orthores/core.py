@@ -54,8 +54,11 @@ def _every(mask: np.ndarray) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def as_matrix(a) -> np.ndarray:
-    m = np.ascontiguousarray(a, dtype=np.float64)
+def as_matrix(a, owned: bool = False) -> np.ndarray:
+    """a as a float64 matrix: C-contiguous and copied only if needed, or with ``owned``
+    always one fresh column-major copy, whatever a's layout."""
+    m = (np.array(a, dtype=np.float64, order="F") if owned
+         else np.ascontiguousarray(a, dtype=np.float64))
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError("expected a 2-D matrix with at least one row and column")
     return m

@@ -88,12 +88,14 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | No
 
 @dataclass(frozen=True)
 class SProjector:
-    """S with its rank and the norms ||x_k|| of the columns of the X it was
-    built from."""
+    """S with its rank, the norms ||x_k|| of the columns of the X it was built
+    from, and ``design``: the projector's own column-major copy of that X, made
+    by the builder, on which orthocomplement_apply runs."""
 
     S: np.ndarray
     rank: int
     col_norms: np.ndarray
+    design: np.ndarray
 
 
 def _border(S: np.ndarray, M: np.ndarray, k: int,
@@ -154,16 +156,16 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     exactly when a reflector is zero; that, a zero LU pivot or a non-finite S
     raises SingularMatrixError.  No tolerance, so S(XD) = D^-1 S(X).
     """
-    X = as_matrix(X)
+    X = as_matrix(X, owned=True)
     n, p = X.shape
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
     rows = _rows(sel, p, n)
     if qr.nonzero_reflector_count < p:  # the rank formula
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
-    head = X[rows] if isinstance(rows, slice) else X.take(rows, 0)  # take gathers rows faster
+    head = X[rows]  # on a column-major X, take would first copy X to row-major
     S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]
-    return SProjector(S=S, rank=p, col_norms=qr.col_norms)
+    return SProjector(S=S, rank=p, col_norms=qr.col_norms, design=X)
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
@@ -174,7 +176,13 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
     the step-(k+1) reflector is nonzero); otherwise S is padded with zeros
     and the rank stays put.
     """
-    X = as_matrix(Xortho)
+    X = as_matrix(Xortho, owned=True)
+    S, rank = _recursion(X, sel)
+    return SProjector(S=S, rank=rank, col_norms=np.ones(X.shape[1]), design=X)
+
+
+def _recursion(X: np.ndarray, sel: RowSelection | None) -> tuple[np.ndarray, int]:
+    """S and its rank by s_recursion's steps, on a matrix X it does not copy."""
     n, p = X.shape
     _check_orthonormal(X)
     head = X[_rows(sel, p, n)]
@@ -184,7 +192,7 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
     for k in range(p):
         S, grew = _border(S, head, k, 1.0)
         rank += grew
-    return SProjector(S=S, rank=rank, col_norms=np.ones(p))
+    return S, rank
 
 
 def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
@@ -193,15 +201,15 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     Equals (C - X^(p))^-1 when that matrix is invertible; otherwise a
     generalized inverse of the same rank, via the recursion.
     """
-    X = as_matrix(X)
+    X = as_matrix(X, owned=True)
     C = as_matrix(C)
     n, p = X.shape
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
     Xt, lu, piv = _solve(C.T, X.T, "C")  # (X C^-1)^T, and the LU of C^T
-    inner = s_recursion(Xt.T, sel)  # raises ValueError unless X C^-1 is orthonormal
-    S = dgetrs(lu, piv, inner.S, trans=1)[0]  # C^-1 S from the same LU
-    return SProjector(S=S, rank=inner.rank,
+    S, rank = _recursion(Xt.T, sel)  # raises ValueError unless X C^-1 is orthonormal
+    S = dgetrs(lu, piv, S, trans=1)[0]  # C^-1 S from the same LU
+    return SProjector(S=S, rank=rank, design=X,
                       col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
 
 
@@ -232,19 +240,22 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
 
 
 def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None) -> np.ndarray:
-    """Evaluate x_(p) + X_(p) S x^(p) for x perpendicular to col(X)."""
-    X = as_matrix(X)
+    """Evaluate x_(p) + X_(p) S x^(p) for x perpendicular to col(X).
+
+    The check and the formula run on ``sp.design``, the projector's own
+    column-major copy of X, so ``X`` is checked only for its shape."""
     x = as_vector(x)
-    n, p = X.shape
+    design = sp.design
+    n, p = design.shape
+    if np.asarray(X).shape != (n, p) or sp.S.shape[0] != p:
+        raise ValueError("projector size does not match X")
     if x.size != n:
         raise ValueError(f"vector length {x.size} != n = {n}")
-    if sp.S.shape[0] != p:
-        raise ValueError("projector size does not match X")
     # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
-    err = np.abs(X.T @ x) / sp.col_norms
+    err = np.abs(design.T @ x) / sp.col_norms
     if not _every(err <= ORTHO_TOL * _norm(x)):  # a NaN fails too
         raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {np.max(err):.3e})")
-    return _apply_s(sp.S, X, x, sel)[1]
+    return _apply_s(sp.S, design, x, sel)[1]
 
 
 def rank_count(qr: HouseholderQR, X) -> int:

@@ -9,6 +9,7 @@ distributional claims through moments, and it exercises the fast kernel
 
 from __future__ import annotations
 
+import math
 import statistics
 import timeit
 from dataclasses import dataclass, fields
@@ -296,6 +297,10 @@ def monte_carlo(cfg: SimulationConfig) -> SimulationReport:
     cov_W = (cov_W + cov_W.T) / 2.0  # exactly symmetric, as cov_R is
     mean_q = sum_q / reps
     s2 = cfg.sigma ** 2
+    # sigma^2 may be near the float maximum; a covariance that would overflow there
+    # cannot be reported, which is an error of its own rather than a warning and an inf
+    if not math.isfinite(s2 * max(float(np.max(np.abs(cov_W))), float(np.max(np.abs(cov_R))))):
+        raise ArithmeticError(f"the covariances overflow at sigma^2 = {s2:.3e}")
     return SimulationReport(
         mean_W=cfg.sigma * mean_W,
         cov_W=s2 * cov_W,

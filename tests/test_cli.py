@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -412,6 +413,16 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "must be" in captured.err
+
+    def test_covariance_overflow(self, capsys):
+        # sigma^2 = 1.69e308: the covariances do not fit in a float, so exit 4
+        argv = ["simulate", "--n", "10", "--p", "2", "--seed", "1", "--sigma"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["1.3e154", "--reps", "5"]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == "" and "overflow at sigma" in captured.err
+            assert main(argv + ["1e154", "--reps", "50"]) == 0
 
     def test_no_beta_option(self, capsys):
         # beta does not reach the residuals, so simulate takes no coefficients

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestOrthocomplementApply:
         (np.eye(2), np.zeros(4), "projector size does not match X"),
     ])
     def test_wrong_sizes(self, S, x, message):
-        sp = SProjector(S=np.array(S), rank=len(S), col_norms=np.ones(len(S)))
+        sp = SProjector(S=np.array(S), rank=len(S), col_norms=np.ones(len(S)), design=self.X)
         with pytest.raises(ValueError, match=message):
             orthocomplement_apply(sp, self.X, x)
 
@@ -460,6 +461,83 @@ class TestOrthocomplementApply:
             fast = orthocomplement_apply(sp, X, x, sel)
             np.testing.assert_allclose(fast, U2.T @ x[perm], atol=1e-10)
             assert abs(fast @ fast - x @ x) <= 1e-10 * (x @ x)
+
+
+BUILDERS = {
+    "s_from_qr": lambda X: s_from_qr(householder_qr(X), X),
+    "s_from_c": lambda X: s_from_c(X, householder_qr(X).T),
+    "s_recursion": s_recursion,
+}
+
+
+class TestOwnedDesign:
+    """Each S builder keeps its own column-major copy of its X, and
+    orthocomplement_apply runs on it, whatever the layout of the caller's X."""
+
+    @staticmethod
+    def case(seed=21, n=60, p=4):
+        """An orthonormal n x p design in C order (every builder accepts it)."""
+        rng = np.random.default_rng(seed)
+        return rng, np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, p)))[0])
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    def test_layouts_agree(self, build):
+        rng, X = self.case()
+        XF = np.asfortranarray(X)
+        by_c, by_f = build(X), build(XF)
+        np.testing.assert_array_equal(by_c.S, by_f.S)
+        for sp in (by_c, by_f):
+            assert sp.design.flags.f_contiguous
+            np.testing.assert_array_equal(sp.design, X)
+        for _ in range(5):
+            x = random_orthocomplement_vector(X, rng)
+            np.testing.assert_array_equal(orthocomplement_apply(by_f, XF, x),
+                                          orthocomplement_apply(by_c, X, x))
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_matches_reflect_route(self, order):
+        rng = np.random.default_rng(23)
+        X = np.array(rng.standard_normal((80, 5)) * [1.0, 1e3, 1.0, 1e-3, 1.0], order=order)
+        qr = householder_qr(X)
+        sp = s_from_qr(qr, X)
+        for _ in range(5):
+            x = random_orthocomplement_vector(X, rng)
+            err = np.max(np.abs(orthocomplement_apply(sp, X, x) - apply_Qt(qr, x)[5:]))
+            assert err <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("order", "CF")
+    def test_caller_overwrites_x(self, build, order):
+        rng, X = self.case(seed=24)
+        x = random_orthocomplement_vector(X, rng)
+        mine = np.array(X, order=order)
+        sp = build(mine)
+        before = orthocomplement_apply(sp, mine, x)
+        mine[:] = rng.standard_normal(mine.shape)  # the projector keeps its own copy
+        np.testing.assert_array_equal(sp.design, X)
+        np.testing.assert_array_equal(orthocomplement_apply(sp, mine, x), before)
+
+    @pytest.mark.parametrize("shape", [(59, 4), (61, 4), (60, 3), (4, 60), (240,)])
+    def test_x_of_another_shape(self, shape):
+        rng, X = self.case(seed=25)
+        sp = s_from_qr(householder_qr(X), X)
+        with pytest.raises(ValueError, match="projector size does not match X"):
+            orthocomplement_apply(sp, np.zeros(shape), random_orthocomplement_vector(X, rng))
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_one_copy_of_the_design(self, order):
+        # the copy itself is 8 n p bytes; converting to C order first would add as much again
+        n, p = 20000, 5
+        X = np.array(np.random.default_rng(26).standard_normal((n, p)), order=order)
+        qr = householder_qr(X)
+        tracemalloc.start()
+        try:
+            sp = s_from_qr(qr, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.design.nbytes == 8 * n * p
+        assert peak <= 1.1 * 8 * n * p
 
 
 class TestSelectionKernel:

@@ -170,6 +170,14 @@ class TestMonteCarlo:
         assert report.max_ss_identity_error == one.max_ss_identity_error
         assert report.max_ss_identity_error < 1e-10
 
+    def test_covariance_overflow_is_an_arithmetic_error(self):
+        # sigma^2 = 1.69e308 times a sample variance above about 1.06 is not a float;
+        # the run fails as such, with no overflow warning (an error under the test config)
+        with pytest.raises(ArithmeticError, match="overflow at sigma"):
+            monte_carlo(self.config(n=10, sigma=1.3e154, replicates=5, seed=1))
+        report = monte_carlo(self.config(n=10, sigma=1e154, replicates=50, seed=1))
+        assert np.all(np.isfinite(report.cov_W)) and np.all(np.isfinite(report.cov_R))
+
     def test_moments_at_scale(self):
         report = monte_carlo(self.config(n=10, sigma=1.0, replicates=20000))
         assert abs(report.mean_rss_over_sigma2 - 8.0) < 0.15
