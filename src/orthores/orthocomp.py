@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
-from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _every, _identity, _norm, as_matrix,
-                   as_vector, householder_qr)
+from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _every, _factor, _identity, _norm,
+                   _record, as_matrix, as_vector, householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -29,16 +29,15 @@ class RowSelection:
 
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        if bool in map(type, self.indices):  # operator.index would take True as 1
+    def __init__(self, indices):
+        if bool in map(type, indices):  # operator.index would take True as 1
             raise TypeError("row indices must be integers, not bools")
-        idx = tuple(map(operator.index, self.indices))
+        idx = tuple(map(operator.index, indices))
         if idx and min(idx) < 0:
             raise ValueError("row indices must be non-negative")
         if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "_index_array", np.array(idx, dtype=np.intp))
+        self.__dict__.update(indices=idx, _index_array=np.array(idx, dtype=np.intp), _mask=None)
         self._index_array.flags.writeable = False  # built once per selection, and shared
 
     def permutation(self, n: int) -> np.ndarray:
@@ -46,14 +45,17 @@ class RowSelection:
         idx = _rows(self, len(self.indices), n)
         if isinstance(idx, slice):  # the first rows already lead
             return np.arange(n)
-        return np.concatenate([idx, _unselected(idx, n).nonzero()[0]])
+        return np.concatenate([idx, self._unselected(n).nonzero()[0]])
 
-
-def _unselected(idx: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of the n rows that are not in idx."""
-    keep = np.ones(n, dtype=bool)
-    keep[idx] = False
-    return keep
+    def _unselected(self, n: int) -> np.ndarray:
+        """Read-only mask of the n rows outside the selection, kept for the last n."""
+        mask = self._mask  # read once: another thread may store the mask of another n
+        if mask is None or mask.size != n:
+            mask = np.ones(n, dtype=bool)
+            mask[self._index_array] = False
+            mask.flags.writeable = False
+            self.__dict__["_mask"] = mask
+        return mask
 
 
 def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
@@ -78,12 +80,12 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | No
     or an n x m block x, without permuting or gathering the n rows of X."""
     p = S.shape[0]
     idx = _rows(sel, p, X.shape[0])
-    v = S @ x[idx]  # on a vector, fancy indexing gathers faster than take
+    v = S.dot(x[idx])  # fancy indexing gathers faster than take; dot: see fit_least_squares
     if isinstance(idx, slice):  # the first p rows: views suffice
-        W = np.matmul(X[p:], v, out=out)
+        W = np.matmul(X[p:], v, out=out)  # not dot: its bits differ on a column-major X[p:]
         W += x[p:]  # in place, bit for bit, since a fresh n-row array page-faults again
         return v, W
-    return v, (x + X @ v).compress(_unselected(idx, X.shape[0]), 0, out)  # axis 0
+    return v, (x + X.dot(v)).compress(sel._unselected(X.shape[0]), 0, out)  # axis 0
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,8 @@ def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
     n, p = X.shape
     if isinstance(_rows(sel, p, n), slice):
         return householder_qr(X)
-    return householder_qr(X.take(sel.permutation(n), 0))
+    # p selected rows below n, so p <= n; two copies beat one take into Fortran order (ROADMAP)
+    return _factor(np.asfortranarray(X.take(sel.permutation(n), 0)), p)[0]
 
 
 def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProjector:
@@ -165,7 +168,7 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     head = X[rows]  # on a column-major X, take would first copy X to row-major
     S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]
-    return SProjector(S=S, rank=p, col_norms=qr.col_norms, design=X)
+    return _record(SProjector, S=S, rank=p, col_norms=qr.col_norms, design=X)
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every,
-                   _factor, _norm, as_matrix, as_vector)
+                   _factor, _norm, _record, as_matrix, as_vector)
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 
@@ -62,7 +62,7 @@ def fit_least_squares(X, Y) -> RegressionFit:
     if p >= n:
         raise ValueError(f"need p < n, got {n}x{p}")
     A = np.empty((n, p + 1), order="F")
-    np.add(X, 0.0, out=A[:, :p])  # -0.0 entries become +0.0 (see _factor)
+    A[:, :p] = X
     A[:, p] = Y
     qr, a = _factor(A, p)  # its finiteness gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
@@ -70,17 +70,25 @@ def fit_least_squares(X, Y) -> RegressionFit:
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
-    R = Y - X @ beta
-    err = np.abs(X.T @ R) / qr.col_norms
+    R = Y - X.dot(beta)  # dot: matmul's BLAS call and bits, less its per-call dispatch
+    err = np.abs(X.T.dot(R)) / qr.col_norms
     if not _every(err <= ORTHO_TOL * y_norm):  # |x_k^T R| / ||x_k||; a NaN fails too
         raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
-    return RegressionFit(X=X, beta_hat=beta, residuals=R, rss=float(R @ R), qr=qr)
+    return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr)
+
+
+def _mean(v: np.ndarray) -> float:
+    """Mean of v, also where v.sum() would overflow; an inf or NaN raises ValueError."""
+    if float(np.vdot(v, v)) < math.inf:  # then |v.sum()| <= sqrt(n) ||v|| is finite too
+        return float(v.sum() / v.size)
+    (top,) = _check_finite(np.abs(v).max(keepdims=True))
+    return top * float((v / top).sum() / v.size)  # |v_k / top| <= 1: no sum overflows
 
 
 def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray,
                sel: RowSelection | None = None) -> IndependentResiduals:
     v, W = _apply_s(S, X, R, sel)
-    return IndependentResiduals(W=W, v=v, beta_star=beta_hat - v)
+    return _record(IndependentResiduals, W=W, v=v, beta_star=beta_hat - v)
 
 
 def independent_residuals(fit: RegressionFit, sp: SProjector,
@@ -109,7 +117,7 @@ def student_w(Y, variant: str = "minus") -> IndependentResiduals:
     Y = as_vector(Y)
     n = Y.size
     S = student_coefficient(n, variant)
-    mean = float(Y.sum() / n)
+    mean = _mean(Y)
     return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S)
 
 
@@ -129,13 +137,13 @@ def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
         if abs(den) <= SINGULAR_TOL * (abs(lead) + abs(t1)):  # relative to what cancels
             # rank one: the mean-only "plus" S, padded
             return np.pad(student_coefficient(n, "plus"), (0, 1))
-        return np.array([[1.0 - t2, t1], [1.0, rn - 1.0]]) / den
+        # scaled as Python floats: the roundings of an array division, without its call
+        return np.array([[(1.0 - t2) / den, t1 / den], [1.0 / den, (rn - 1.0) / den]])
     if variant == "b":
         g = (rn + 1.0) * t2 - t1
         s = 1.0 if g >= 0.0 else -1.0
-        return (-s / ((rn + 1.0) + abs(g))) * np.array(
-            [[s + t2, -t1], [-1.0, rn + 1.0]]
-        )
+        f = -s / ((rn + 1.0) + abs(g))
+        return np.array([[f * (s + t2), f * -t1], [-f, f * (rn + 1.0)]])
     raise ValueError(f"unknown variant: {variant!r}")
 
 
@@ -148,8 +156,8 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
         raise ValueError("need at least 3 observations")
     if tv.size != n:
         raise ValueError(f"predictor length {tv.size} != {n}")
-    a_hat = float(Y.sum() / n)
-    b_hat = float(tv @ Y)
+    a_hat = _mean(Y)
+    b_hat = float(tv.dot(Y))
     R = Y - a_hat - b_hat * tv
     X = np.empty((n, 2))  # [1, t]; column_stack costs more than the fill
     X[:, 0] = 1.0
@@ -160,13 +168,14 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
 def standardize_predictor(raw) -> StandardizedPredictor:
     """Affine map of the raw predictor to sum zero, sum of squares one."""
     raw = as_vector(raw)
-    shift = float(raw.sum() / raw.size)
-    centered = raw - shift
-    scale = _norm(centered)
-    if scale <= RANK_TOL * math.hypot(scale, math.sqrt(raw.size) * shift):  # = ||raw||
+    shift = _mean(raw)
+    t = raw - shift  # centered; the steps below work in place, with the same roundings
+    scale = _norm(t)
+    # RANK_TOL ||raw||, by ||raw|| = hypot(scale, sqrt(n) shift), scaled first: no overflow
+    if scale <= math.hypot(RANK_TOL * scale, RANK_TOL * math.sqrt(raw.size) * shift):
         raise ValueError("predictor is constant (collinear with the intercept)")
-    t = centered / scale
+    t /= scale
     # one refinement pass to pin the sum-zero invariant at rounding level
-    t = t - t.sum() / t.size
-    t = t / math.sqrt(t.dot(t))  # ||t|| is about 1, so t . t can neither overflow nor underflow
-    return StandardizedPredictor(t=t, shift=shift, scale=scale)
+    t -= t.sum() / t.size
+    t /= math.sqrt(t.dot(t))  # ||t|| is about 1, so t . t can neither overflow nor underflow
+    return _record(StandardizedPredictor, t=t, shift=shift, scale=scale)

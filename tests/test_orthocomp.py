@@ -99,6 +99,26 @@ class TestRowSelection:
         np.testing.assert_array_equal(
             W, orthocomplement_apply(s_from_qr(qr_for_selection(X, ref), X, ref), X, z, ref))
 
+    def test_reused_at_two_sizes(self):
+        # the selection keeps the mask of the last n it saw; another n must rebuild it
+        sel = RowSelection((1, 4))
+        rng = np.random.default_rng(16)
+        for n in (6, 9, 6):
+            np.testing.assert_array_equal(sel.permutation(n), listed_permutation(n, (1, 4)))
+            X = rng.standard_normal((n, 2))
+            x = random_orthocomplement_vector(X, rng)
+            sp = s_from_qr(qr_for_selection(X, sel), X, sel)
+            fresh = RowSelection((1, 4))
+            W = orthocomplement_apply(sp, X, x, sel)
+            np.testing.assert_array_equal(W, orthocomplement_apply(sp, X, x, fresh))
+            np.testing.assert_allclose(W, permuted_apply(sp.S, X, x, (1, 4)), rtol=0, atol=1e-12)
+            mask = sel._unselected(n)
+            assert mask.tolist() == [i not in (1, 4) for i in range(n)]
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = False
+        assert sel == RowSelection((1, 4))  # the kept mask is not a field
+
     @pytest.mark.parametrize("n,rows", SELECTIONS + [(3, (0, 1, 2)), (6, (5,))])
     def test_permutation_matches_listed_order(self, n, rows):
         perm = RowSelection(rows).permutation(n)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -392,6 +393,87 @@ class TestStudentW:
         lhs = R[1:] + R[0] / (np.sqrt(n) - 1.0)
         rhs = Rstar[1:] + Rstar[0] / np.sqrt(n)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+class TestMeanOfTheInput:
+    """student_w, univariate_w and standardize_predictor take the mean of their input. An
+    inf or NaN there is the same error as in fit_least_squares, a finite input whose sum
+    overflows gets its true mean, and any other input the plain quotient, bit for bit."""
+
+    T = standardize_predictor([0.0, 1.0, 3.0, 2.0])
+    CALLS = {"student_w": student_w,
+             "univariate_w": lambda y: univariate_w(TestMeanOfTheInput.T, y),
+             "standardize_predictor": standardize_predictor}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_non_finite_input(self, call, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call(np.array([1.0, bad, 2.0, 0.0]))
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_sum_that_overflows(self, call):
+        # 1e308 + 1e308 is not a float, but the mean 2.5e307 is; every output is linear in Y
+        # (standardize_predictor's t is scale-free), so it is 1e308 times that of [1, 1, -1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = call(np.array([1e308, 1e308, -1e308, 0.0]))
+        small = call(np.array([1.0, 1.0, -1.0, 0.0]))
+        for f in dataclasses.fields(big):  # every entry of small is O(1)
+            got = np.divide(getattr(big, f.name), 1.0 if f.name == "t" else 1e308)
+            np.testing.assert_allclose(got, getattr(small, f.name), rtol=0, atol=1e-14)
+
+    def test_shift_near_the_largest_float(self):
+        # sqrt(n) shift = 2.25e308 overflows, though RANK_TOL sqrt(n) shift does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = standardize_predictor([1.5e308, 1.5e308, 1.5e308, 0.0])
+        assert sp.shift == 1.125e308
+        np.testing.assert_allclose(sp.t, standardize_predictor([1.0, 1.0, 1.0, 0.0]).t,
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_finite_sum_keeps_the_quotient(self):
+        y = 3.0 + np.random.default_rng(31).standard_normal(50)
+        assert standardize_predictor(y).shift == float(y.sum() / y.size)
+        assert regression._mean(y) == float(y.sum() / y.size)
+
+
+class TestResultRecords:
+    """The library builds its results without the dataclass __init__; they must still be
+    frozen dataclasses, with the same fields as when a caller constructs them."""
+
+    @staticmethod
+    def results():
+        rng = np.random.default_rng(32)
+        X = np.column_stack([np.ones(12), rng.standard_normal((12, 2))])
+        Y = rng.standard_normal(12)
+        sel = RowSelection((2, 5, 9))
+        fit = fit_least_squares(X, Y)
+        qr = qr_for_selection(X, sel)
+        sp = s_from_qr(qr, X, sel)
+        return [fit.qr, qr, householder_qr(X, TO_POSITIVE), fit, sp,
+                independent_residuals(fit, sp, sel), student_w(Y), univariate_w(
+                    standardize_predictor(X[:, 1]), Y), standardize_predictor(X[:, 1]), sel]
+
+    @pytest.mark.parametrize("i", range(10))
+    def test_frozen_and_constructible(self, i):
+        obj = self.results()[i]
+        cls = type(obj)
+        names = [f.name for f in dataclasses.fields(obj)]
+        values = [getattr(obj, name) for name in names]
+        for name in names + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+        rebuilt = [cls(*values), cls(**dict(zip(names, values))), dataclasses.replace(obj),
+                   dataclasses.replace(obj, **{names[0]: values[0]})]
+        for other in rebuilt:
+            assert type(other) is cls and vars(other).keys() == vars(obj).keys()
+            for name, value in zip(names, values):
+                got = getattr(other, name)
+                assert got is value or (not isinstance(value, np.ndarray) and got == value)
+        assert repr(obj).startswith(cls.__name__ + "(")
 
 
 class TestUnivariateW:
