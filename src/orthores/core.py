@@ -8,12 +8,38 @@ HouseholderQR) and applies them with one ``dormqr`` call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrfp, dgeqrt, dormqr
+import scipy
+
+
+def _flapack(directory: str):
+    """The module whose LAPACK wrappers scipy.linalg.lapack re-exports, loaded from ``directory``
+    without scipy/linalg/__init__.py, which imports numpy.testing, numpy.f2py and more (0.3 s)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is already imported
+        return sys.modules[name]
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:  # another scipy layout: the public route
+        from scipy.linalg import lapack
+        return lapack
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension enters itself in sys.modules with no parent package; left
+    # there, a later ``import scipy.linalg`` would find it and never bind the attribute
+    sys.modules.pop(name, None)
+    return module
+
+
+_lapack = _flapack(f"{scipy.__path__[0]}/linalg")
+dgeqrfp, dgeqrt, dormqr = _lapack.dgeqrfp, _lapack.dgeqrt, _lapack.dormqr
+dgesv, dgetrs, dtrtrs = _lapack.dgesv, _lapack.dgetrs, _lapack.dtrtrs  # orthocomp, regression
 
 # The tolerance table: every threshold at which the library takes a float for zero,
 # singular or orthogonal.  Other modules import these names; each line says what the

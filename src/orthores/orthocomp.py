@@ -12,10 +12,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrs, dtrtrs
 
 from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _every, _factor, _identity, _norm,
-                   _record, as_matrix, as_vector, householder_qr)
+                   _record, as_matrix, as_vector, dgesv, dgetrs, dtrtrs, householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):

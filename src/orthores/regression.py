@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every,
-                   _factor, _norm, _record, as_matrix, as_vector)
+                   _factor, _norm, _record, as_matrix, as_vector, dtrtrs)
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 

@@ -154,6 +154,18 @@ class TestReadCsv:
         assert read_csv_matrix(str(path)).tolist() == [[1.0, 2.0]]
         assert seen == [quotechar]
 
+    def test_quote_beyond_the_first_chunk(self, tmp_path, monkeypatch):
+        # the scan reads 1 MiB at a time; a quote in a later chunk still sets quotechar
+        seen, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw:
+                            seen.append(kw["quotechar"]) or loadtxt(*args, **kw))
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1,2\n" * 300000 + b'3,"4"\n')
+        assert path.stat().st_size > 1 << 20
+        got = read_csv_matrix(str(path))
+        assert seen == ['"']
+        assert got.shape == (300001, 2) and got[-1].tolist() == [3.0, 4.0]
+
     @pytest.mark.parametrize("text", [
         "",                  # empty file
         "x,y\n",             # header only

@@ -591,3 +591,56 @@ class TestRankFormula:
         assert rank_count(qr, X) == X.shape[1] - k
         err = np.abs(reconstruct(qr) - X).max(axis=0)
         assert np.all(err <= 1e-12 * np.hypot.reduce(X, axis=0))
+
+
+def run_fresh(script: str, *args: str) -> None:
+    """Run ``script`` in a new interpreter: this suite imports scipy.linalg itself."""
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+SIX = "('dgeqrfp', 'dgeqrt', 'dormqr', 'dgesv', 'dgetrs', 'dtrtrs')"
+
+
+class TestLapackLoader:
+    @pytest.mark.parametrize("module", ["orthores", "orthores.cli"])
+    def test_import_leaves_scipy_linalg_out(self, module):
+        run_fresh(f"import sys, {module}\n"
+                  "heavy = ('scipy.linalg', 'numpy.testing', 'numpy.f2py')\n"
+                  "loaded = [m for m in sys.modules if m.startswith(heavy)]\n"
+                  "assert not loaded, loaded")
+
+    @pytest.mark.parametrize("first, second", [("orthores", "scipy.linalg.lapack"),
+                                               ("scipy.linalg.lapack", "orthores")])
+    def test_routines_are_scipys(self, first, second):
+        # the very objects scipy.linalg.lapack exports, whichever is imported first
+        run_fresh(f"import {first}, {second}\n"
+                  "from orthores import core, orthocomp, regression\n"
+                  "from scipy.linalg import lapack\n"
+                  f"for name in {SIX}:\n"
+                  "    assert getattr(core, name) is getattr(lapack, name), name\n"
+                  "assert orthocomp.dgesv is lapack.dgesv and orthocomp.dgetrs is lapack.dgetrs\n"
+                  "assert orthocomp.dtrtrs is regression.dtrtrs is lapack.dtrtrs")
+
+    def test_scipy_linalg_imports_afterwards(self):
+        run_fresh("import numpy as np, orthores\n"
+                  "import scipy.linalg\n"
+                  "assert scipy.linalg._flapack.dgeqrt is orthores.core.dgeqrt\n"
+                  "X = np.array([[3.0, 1.0], [4.0, 2.0], [0.0, 5.0]])\n"
+                  "q, r = scipy.linalg.qr(X, mode='economic')\n"
+                  "assert np.allclose(q @ r, X) and np.isclose(abs(r[0, 0]), 5.0)")
+
+    def test_finder_miss_takes_the_public_route(self, tmp_path):
+        # a directory without the extension: the loader imports scipy.linalg.lapack instead
+        run_fresh("import sys\n"
+                  "from orthores.core import _flapack\n"
+                  "assert 'scipy.linalg' not in sys.modules\n"
+                  "module = _flapack(sys.argv[1])\n"
+                  "from scipy.linalg import lapack\n"
+                  "assert module is lapack, module\n"
+                  f"for name in {SIX}:\n"
+                  "    assert getattr(module, name) is getattr(sys.modules['orthores.core'], name)",
+                  str(tmp_path))
