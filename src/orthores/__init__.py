@@ -10,10 +10,8 @@ from .core import (
     RankDeficiencyError,
     SignPolicy,
     apply_Qt,
-    apply_reflection,
     explicit_orthocomplement_basis,
     householder_qr,
-    make_reflector,
     reconstruct,
 )
 from .orthocomp import (

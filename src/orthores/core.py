@@ -1,13 +1,14 @@
 """Dense Householder-reflection machinery and QR factorization.
 
-All matrices are plain float64 numpy arrays in row-major order.  A
-factorization keeps its reflectors in LAPACK's ``dgeqrf`` layout (see
-HouseholderQR) and applies them with one ``dormqr`` call.
+All matrices are float64 numpy arrays, row-major except the column-major
+copies: a factorization's reflectors, in the LAPACK ``dgeqrf`` layout (see
+HouseholderQR) that one ``dormqr`` call applies, and ``as_matrix(owned=True)``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +47,7 @@ dgesv, dgetrs, dtrtrs = _lapack.dgesv, _lapack.dgetrs, _lapack.dtrtrs  # orthoco
 # value is compared against and which functions read it.
 # pivot tail <= RANK_TOL ||x_k||: column k is dependent (_check_column, standardize_predictor)
 RANK_TOL = 1e-12
-# |v_k| vs the pivot tail norm: an exact cancellation, H_k = I (make_reflector, householder_qr)
+# |v_k| vs the pivot tail norm: an exact cancellation, H_k = I (householder_qr's loop)
 CANCEL_TOL = 1e-12
 # a pivot, singular value or det factor vs its scale (_border, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
@@ -115,12 +116,16 @@ class SignPolicy:
             raise ValueError(f"unknown sign policy kind: {self.kind!r}")
         if (self.kind == "custom") != (self.signs is not None):
             raise ValueError("custom policy requires signs, others forbid them")
-        if self.signs is not None and any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("custom signs must all be +1 or -1")
+        if self.signs is not None:
+            if bool in map(type, signs := tuple(self.signs)):  # operator.index takes True as 1
+                raise TypeError("custom signs must be integers, not bools")
+            object.__setattr__(self, "signs", tuple(map(operator.index, signs)))  # 1.9 raises
+            if any(s not in (-1, 1) for s in self.signs):
+                raise ValueError("custom signs must all be +1 or -1")
 
     @classmethod
     def custom(cls, signs: Sequence[int]) -> "SignPolicy":
-        return cls("custom", tuple(int(s) for s in signs))
+        return cls("custom", signs)
 
 
 STANDARD = SignPolicy("standard")
@@ -154,43 +159,6 @@ def _record(cls, **values):
     record = object.__new__(cls)  # one dict update: __init__ pays object.__setattr__ per field
     record.__dict__.update(values)
     return record
-
-
-def make_reflector(x, k: int, sign: int) -> np.ndarray:
-    """Reflector v with zeros in components 1..k-1 sending x to a multiple
-    of e_k while leaving components 1..k-1 of x unchanged.
-
-    Returns the all-zero vector when the pivot cancellation is exact
-    (the reflection is then the identity).
-    """
-    x = as_vector(x)
-    n = x.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for vector of length {n}")
-    d = float(sign)
-    if d not in (-1.0, 1.0):
-        raise ValueError("sign must be +1 or -1")
-    tail = x[k - 1:]
-    norm = float(np.hypot.reduce(tail))  # no overflow or underflow near 1e+-200
-    if norm == 0.0:
-        raise RankDeficiencyError(f"all-zero tail from component {k}")
-    v = np.zeros(n)
-    v[k - 1:] = tail
-    v[k - 1] += d * norm
-    if abs(v[k - 1]) <= CANCEL_TOL * norm:
-        return np.zeros(n)
-    return v
-
-
-def apply_reflection(v, x) -> np.ndarray:
-    """Apply (I - 2 v v^T / ||v||^2) to x; identity when v = 0."""
-    v = as_vector(v)
-    x = as_vector(x)
-    if v.size != x.size:
-        raise ValueError("reflector and vector lengths differ")
-    vn = float(np.hypot.reduce(v))  # v @ v would overflow or underflow near 1e+-200
-    u = v / vn if vn > 0.0 else v
-    return x - (2.0 * (u @ x)) * u
 
 
 def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:

@@ -120,10 +120,12 @@ def _border(S: np.ndarray, M: np.ndarray, k: int,
 def _solve(A: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
     """A^-1 B by one LAPACK dgesv call, with A's LU factors and pivots.
 
-    A zero LU pivot or a non-finite result raises SingularMatrixError.  No
-    tolerance, so scaling a column of A does not move the test."""
+    A zero LU pivot or a non-finite result raises SingularMatrixError, or ValueError
+    when A or B is not finite.  No tolerance, so scaling a column of A does not move it."""
     lu, piv, X, info = dgesv(A, B)
     if info > 0 or not _every(np.isfinite(X)):  # info < 0 (a bad argument) needs non-square
+        if not (_every(np.isfinite(A)) and _every(np.isfinite(B))):  # the input is at fault
+            raise ValueError("array must not contain infs or NaNs")
         raise SingularMatrixError(f"{name} is numerically singular")
     return X, lu, piv
 
@@ -134,9 +136,8 @@ def _svd_rank(M: np.ndarray) -> int:
 
 
 def _check_orthonormal(X: np.ndarray) -> None:
-    gram = X.T @ X
-    err = float(np.max(np.abs(gram - np.eye(X.shape[1]))))
-    if err >= ORTHO_TOL:
+    err = float(np.max(np.abs(X.T @ X - np.eye(X.shape[1]))))
+    if not err < ORTHO_TOL:  # a NaN fails too
         raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
 
 
@@ -188,9 +189,7 @@ def _recursion(X: np.ndarray, sel: RowSelection | None) -> tuple[np.ndarray, int
     n, p = X.shape
     _check_orthonormal(X)
     head = X[_rows(sel, p, n)]
-
-    S = np.zeros((0, 0))
-    rank = 0
+    S, rank = np.zeros((0, 0)), 0
     for k in range(p):
         S, grew = _border(S, head, k, 1.0)
         rank += grew

@@ -18,110 +18,13 @@ from orthores import (
     RankDeficiencyError,
     SignPolicy,
     apply_Qt,
-    apply_reflection,
     explicit_orthocomplement_basis,
     householder_qr,
-    make_reflector,
     rank_count,
     reconstruct,
 )
 from orthores import cli, core, orthocomp, regression, validation
 from orthores.core import _norm
-
-
-class TestMakeReflector:
-    def test_pivot_example(self):
-        v = make_reflector([3.0, 4.0], 1, 1)
-        np.testing.assert_allclose(v, [8.0, 4.0])
-        # reflecting x with v zeroes everything below the pivot
-        np.testing.assert_allclose(apply_reflection(v, [3.0, 4.0]), [-5.0, 0.0], atol=1e-14)
-
-    def test_exact_cancellation_gives_zero(self):
-        v = make_reflector([1.0, 0.0, 0.0], 1, -1)
-        assert np.all(v == 0.0)
-
-    def test_ones_example(self):
-        v = make_reflector([1.0, 1.0, 1.0, 1.0], 1, 1)
-        np.testing.assert_allclose(v, [3.0, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(apply_reflection(v, np.ones(4)), [-2, 0, 0, 0], atol=1e-14)
-
-    def test_preserves_leading_components(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(7)
-        v = make_reflector(x, 4, 1)
-        assert np.all(v[:3] == 0.0)
-        hx = apply_reflection(v, x)
-        np.testing.assert_allclose(hx[:3], x[:3], rtol=1e-12)
-        np.testing.assert_allclose(hx[4:], 0.0, atol=1e-12)
-
-    def test_all_zero_tail_raises(self):
-        with pytest.raises(RankDeficiencyError):
-            make_reflector([1.0, 2.0, 0.0, 0.0], 3, 1)
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            make_reflector([1.0, 2.0], 3, 1)
-
-    @pytest.mark.parametrize("sign", [0, 2, -0.5])
-    def test_bad_sign(self, sign):
-        with pytest.raises(ValueError, match="sign must be"):
-            make_reflector([1.0, 2.0], 1, sign)
-
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    @pytest.mark.parametrize("x,k,sign", [
-        ([1.0, 1.0], 1, 1),
-        ([3.0, 4.0], 1, -1),
-        ([0.5, -2.0, 1.0, 3.0, -1.5], 2, 1),
-    ])
-    def test_scale_safe(self, x, k, sign, scale):
-        # the tail norm neither overflows nor underflows: v(c x) = c v(x)
-        expected = scale * make_reflector(x, k, sign)
-        np.testing.assert_allclose(make_reflector(scale * np.array(x), k, sign), expected,
-                                   rtol=1e-15, atol=0.0)
-
-
-class TestApplyReflection:
-    def test_defining_example(self):
-        np.testing.assert_allclose(
-            apply_reflection([3.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
-            [-2.0, 0.0, 0.0, 0.0], atol=1e-14)
-
-    def test_zero_reflector_is_identity(self):
-        np.testing.assert_allclose(apply_reflection([0.0, 0.0], [5.0, 7.0]), [5.0, 7.0])
-
-    def test_basis_vector(self):
-        np.testing.assert_allclose(
-            apply_reflection([3.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
-            [-0.5, -0.5, -0.5, -0.5])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_reflection([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    @pytest.mark.parametrize("v,x", [
-        ([1.0, 1.0], [1.0, 0.0]),
-        ([3.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
-        ([0.0, 2.5, -1.0, 0.5], [1.0, -2.0, 0.25, 4.0]),
-    ])
-    def test_scale_safe(self, v, x, scale):
-        # H(c v) = H(v), and H(v) (c x) = c H(v) x
-        hx = apply_reflection(v, x)
-        atol = 1e-15 * np.linalg.norm(x)
-        np.testing.assert_allclose(apply_reflection(scale * np.array(v), x), hx,
-                                   rtol=0.0, atol=atol)
-        np.testing.assert_allclose(apply_reflection(v, scale * np.array(x)) / scale, hx,
-                                   rtol=0.0, atol=atol)
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
-    def test_isometry_and_involution(self, seed, n):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(n)
-        x = rng.standard_normal(n)
-        hx = apply_reflection(v, x)
-        assert abs(np.linalg.norm(hx) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
-        np.testing.assert_allclose(apply_reflection(v, hx), x, rtol=1e-12, atol=1e-12)
 
 
 class TestHouseholderQR:
@@ -159,6 +62,21 @@ class TestHouseholderQR:
     def test_bad_sign_policy(self, kind, signs, message):
         with pytest.raises(ValueError, match=message):
             SignPolicy(kind, signs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SignPolicy.custom([1.9, -1.2]),  # int() would truncate these to 1, -1
+        lambda: SignPolicy.custom([1.0, -1.0]),
+        lambda: SignPolicy.custom([True, -1]),
+        lambda: SignPolicy("custom", (1.0, True)),
+        lambda: SignPolicy("custom", (1, np.float64(-1.0))),
+    ], ids=["fractions", "whole-floats", "bool", "float-and-bool", "numpy-float"])
+    def test_signs_must_be_integers(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_signs_kept_as_python_ints(self):
+        for policy in (SignPolicy.custom(np.array([1, -1])), SignPolicy("custom", [np.int8(1), -1])):
+            assert policy.signs == (1, -1) and set(map(type, policy.signs)) == {int}
 
     @pytest.mark.parametrize("convert,value", [
         (core.as_matrix, np.ones(3)), (core.as_matrix, np.ones((2, 2, 2))),

@@ -209,6 +209,13 @@ class TestSRecursion:
         with pytest.raises(ValueError):
             s_recursion(np.ones((4, 1)))
 
+    def test_rejects_nan(self):
+        # a NaN Gram error is not below ORTHO_TOL: the check fails, not passes
+        Q = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 3)))[0]
+        Q[-1] = np.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
+            s_recursion(Q)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_lemma10_identities(self, seed):
         rng = np.random.default_rng(seed)
@@ -287,6 +294,30 @@ class TestSFromC:
     def test_c_of_another_size(self, C):
         with pytest.raises(ValueError, match="C must be 2x2"):
             s_from_c(np.ones((5, 2)), C)
+
+
+class TestNonFiniteInput:
+    """An inf or NaN in X or C is an input error (ValueError, as householder_qr
+    raises), not a numerically singular C."""
+
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 3)))[0]
+
+    @pytest.mark.parametrize("build", [s_from_c, lambda X, C: sign_fix(C, X)],
+                             ids=["s_from_c", "sign_fix"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_in_x(self, build, value):
+        X = self.Q.copy()
+        X[0, 1] = value  # a selected row, which sign_fix reads
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            build(X, np.eye(3))
+
+    @pytest.mark.parametrize("build", [s_from_c, lambda X, C: sign_fix(C, X)],
+                             ids=["s_from_c", "sign_fix"])
+    def test_nan_in_c(self, build):
+        C = np.eye(3)
+        C[1, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            build(self.Q, C)
 
 
 class TestSignFix:
