@@ -57,11 +57,8 @@ def read_csv_matrix(path: str) -> np.ndarray:
                 first = next(rows, [])
         if not first:
             raise CliError(EXIT_INPUT, f"{path} contains no data rows")
-        with open(path, "rb") as fh:  # numpy parses faster with no quote character; 1 MiB reads
-            quoted = any(b'"' in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), b""))
-        quotechar = '"' if quoted else None
         matrix = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
-                            comments=None, quotechar=quotechar, encoding="utf-8-sig")
+                            comments=None, quotechar='"', encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     except ValueError as exc:  # a cell numpy cannot parse, or ragged rows

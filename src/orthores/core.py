@@ -51,7 +51,7 @@ RANK_TOL = 1e-12
 CANCEL_TOL = 1e-12
 # a pivot, singular value or det factor vs its scale (_border, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
-# |cos(x_k, v)|, and a Gram error (orthocomplement_apply, fit_least_squares, _check_orthonormal)
+# |cos(x_k, v)|, and a Gram error (orthocomplement_apply, fit_least_squares, s_from_c)
 ORTHO_TOL = 1e-8
 # an identity's error vs its scale (idempotent_check, benchmark_apply, and the CLI's --tol default)
 IDENTITY_TOL = 1e-10
@@ -169,16 +169,15 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     Raises ValueError for an inf or NaN in X, else RankDeficiencyError at
     the first column that _check_column finds dependent on the previous ones.
     """
-    X = as_matrix(X)
-    n, p = X.shape
+    A = as_matrix(X, owned=True)  # ends with the reflectors below its diagonal and T on and above
+    n, p = A.shape
     if p > n:
         raise ValueError(f"need p <= n, got {n}x{p}")
     if policy.kind == "custom" and len(policy.signs) != p:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
-    A = np.array(X, order="F")  # ends with the reflectors below its diagonal and T on and above
     if policy.kind == "standard":
         return _factor(A, p)[0]
-    col_norms = np.hypot.reduce(X, axis=0)  # ||x_k||, with no overflow near 1e200
+    col_norms = np.hypot.reduce(A, axis=0)  # ||x_k||, with no overflow near 1e200
     tau = np.zeros(p)
     for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, _check_finite(col_norms))):
         # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1

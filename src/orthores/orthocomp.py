@@ -135,10 +135,14 @@ def _svd_rank(M: np.ndarray) -> int:
     return int(np.sum(sv > SINGULAR_TOL * sv[0]))
 
 
-def _check_orthonormal(X: np.ndarray) -> None:
-    err = float(np.max(np.abs(X.T @ X - np.eye(X.shape[1]))))
-    if not err < ORTHO_TOL:  # a NaN fails too
-        raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
+def _normalizer(C, p: int) -> np.ndarray:
+    """C as a finite p x p matrix: an inf in C can leave dgesv's result finite."""
+    C = as_matrix(C)
+    if C.shape != (p, p):
+        raise ValueError(f"C must be {p}x{p}, got {C.shape}")
+    if not _every(np.isfinite(C)):
+        raise ValueError("array must not contain infs or NaNs")
+    return C
 
 
 def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
@@ -172,43 +176,33 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
-    """Build S by the rank-one-update recursion on orthonormal columns.
-
-    Step k+1 adds a rank-one term iff the pivot scalar
-    1 - x_{k+1,k+1} - x_{k+1,1:k} S_k x_{k+1}^(k) is nonzero (equivalently
-    the step-(k+1) reflector is nonzero); otherwise S is padded with zeros
-    and the rank stays put.
-    """
-    X = as_matrix(Xortho, owned=True)
-    S, rank = _recursion(X, sel)
-    return SProjector(S=S, rank=rank, col_norms=np.ones(X.shape[1]), design=X)
-
-
-def _recursion(X: np.ndarray, sel: RowSelection | None) -> tuple[np.ndarray, int]:
-    """S and its rank by s_recursion's steps, on a matrix X it does not copy."""
-    n, p = X.shape
-    _check_orthonormal(X)
-    head = X[_rows(sel, p, n)]
-    S, rank = np.zeros((0, 0)), 0
-    for k in range(p):
-        S, grew = _border(S, head, k, 1.0)
-        rank += grew
-    return S, rank
+    """S for orthonormal columns: s_from_c at C = I."""
+    X = as_matrix(Xortho)
+    return s_from_c(X, _identity(X.shape[1]), sel)
 
 
 def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     """S for a general normalizer C with X C^-1 orthonormal.
 
     Equals (C - X^(p))^-1 when that matrix is invertible; otherwise a
-    generalized inverse of the same rank, via the recursion.
+    generalized inverse of the same rank.  S is C^-1 times the S of X C^-1,
+    built by a rank-one-update recursion: step k+1 adds a rank-one term iff
+    the pivot 1 - x_{k+1,k+1} - x_{k+1,1:k} S_k x_{k+1}^(k) is nonzero
+    (equivalently the step-(k+1) reflector is nonzero); otherwise S is
+    padded with zeros and the rank stays put.
     """
     X = as_matrix(X, owned=True)
-    C = as_matrix(C)
     n, p = X.shape
-    if C.shape != (p, p):
-        raise ValueError(f"C must be {p}x{p}, got {C.shape}")
-    Xt, lu, piv = _solve(C.T, X.T, "C")  # (X C^-1)^T, and the LU of C^T
-    S, rank = _recursion(Xt.T, sel)  # raises ValueError unless X C^-1 is orthonormal
+    C = _normalizer(C, p)
+    Qt, lu, piv = _solve(C.T, X.T, "C")  # Q^T = (X C^-1)^T, and the LU of C^T
+    err = float(np.max(np.abs(Qt @ Qt.T - _identity(p))))  # Q's Gram error
+    if not err < ORTHO_TOL:  # a NaN fails too
+        raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
+    head = Qt.T[_rows(sel, p, n)]
+    S, rank = np.zeros((0, 0)), 0
+    for k in range(p):
+        S, grew = _border(S, head, k, 1.0)
+        rank += grew
     S = dgetrs(lu, piv, S, trans=1)[0]  # C^-1 S from the same LU
     return SProjector(S=S, rank=rank, design=X,
                       col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
@@ -224,11 +218,8 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     singular only when C is, which raises SingularMatrixError.
     """
     X = as_matrix(X)
-    C = as_matrix(C)
     n, p = X.shape
-    if C.shape != (p, p):
-        raise ValueError(f"C must be {p}x{p}, got {C.shape}")
-    M = _solve(C.T, X[_rows(sel, p, n)].T, "C")[0].T  # X^(p) C^-1
+    M = _solve(_normalizer(C, p).T, X[_rows(sel, p, n)].T, "C")[0].T  # X^(p) C^-1
 
     d = np.zeros(p)
     Ainv = np.zeros((0, 0))

@@ -65,7 +65,10 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A[:, p] = Y
     qr, a = _factor(A, p)  # its finiteness gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
-    (y_norm,) = _check_finite(np.hypot.reduce(head, keepdims=True))  # an inf or NaN in Y fails
+    y_norm = float(np.hypot.reduce(head))
+    if not y_norm < math.inf:  # an inf or NaN in Y, or a finite Y whose fit overflows
+        _check_finite(Y)
+        raise ValueError("Y is finite, but its fit exceeds the float range")
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
@@ -172,6 +175,8 @@ def standardize_predictor(raw) -> StandardizedPredictor:
     scale = _norm(t)
     # RANK_TOL ||raw||, by ||raw|| = hypot(scale, sqrt(n) shift), scaled first: no overflow
     if scale <= math.hypot(RANK_TOL * scale, RANK_TOL * math.sqrt(raw.size) * shift):
+        if scale == math.inf:  # raw is finite, as _mean checked
+            raise ValueError("the predictor's spread ||raw - mean|| exceeds the float range")
         raise ValueError("predictor is constant (collinear with the intercept)")
     t /= scale
     # one refinement pass to pin the sum-zero invariant at rounding level

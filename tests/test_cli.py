@@ -142,30 +142,6 @@ class TestReadCsv:
         assert got.shape == np.shape(expected)
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("text, quotechar", [
-        ('"x",y\n1,2\n', '"'), ('x,y\n1,"2"\n', '"'), ("x,y\n1,2\n", None)])
-    def test_quote_character_only_when_the_file_has_one(self, tmp_path, monkeypatch,
-                                                        text, quotechar):
-        seen, loadtxt = [], np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw:
-                            seen.append(kw["quotechar"]) or loadtxt(*args, **kw))
-        path = tmp_path / "d.csv"
-        path.write_bytes(text.encode())
-        assert read_csv_matrix(str(path)).tolist() == [[1.0, 2.0]]
-        assert seen == [quotechar]
-
-    def test_quote_beyond_the_first_chunk(self, tmp_path, monkeypatch):
-        # the scan reads 1 MiB at a time; a quote in a later chunk still sets quotechar
-        seen, loadtxt = [], np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw:
-                            seen.append(kw["quotechar"]) or loadtxt(*args, **kw))
-        path = tmp_path / "d.csv"
-        path.write_bytes(b"1,2\n" * 300000 + b'3,"4"\n')
-        assert path.stat().st_size > 1 << 20
-        got = read_csv_matrix(str(path))
-        assert seen == ['"']
-        assert got.shape == (300001, 2) and got[-1].tolist() == [3.0, 4.0]
-
     @pytest.mark.parametrize("text", [
         "",                  # empty file
         "x,y\n",             # header only
@@ -300,6 +276,18 @@ class TestIndep:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["indep", path, "--mode", "student"]) == 4
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mode, rows", [
+        ("student", [[1.7e308], [1.7e308], [0.0], [0.0]]),
+        ("univariate", [[1.7e308, 1.0], [-1.7e308, 2.0], [0.0, 0.5], [0.0, 1.5]])])
+    def test_finite_data_past_the_float_range(self, tmp_path, capsys, mode, rows):
+        # ||Y|| (student) or ||raw - mean|| (univariate) is 2.4e308: an input error that says so
+        path = write_csv(tmp_path / "big.csv", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["indep", path, "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the float range" in captured.err
 
     def test_univariate(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -209,13 +209,6 @@ class TestSRecursion:
         with pytest.raises(ValueError):
             s_recursion(np.ones((4, 1)))
 
-    def test_rejects_nan(self):
-        # a NaN Gram error is not below ORTHO_TOL: the check fails, not passes
-        Q = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 3)))[0]
-        Q[-1] = np.nan
-        with pytest.raises(ValueError, match="not orthonormal"):
-            s_recursion(Q)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_lemma10_identities(self, seed):
         rng = np.random.default_rng(seed)
@@ -246,6 +239,27 @@ class TestSRecursion:
             sp = s_recursion(X)
             qr = householder_qr(X, TO_POSITIVE)
             assert sp.rank == qr.nonzero_reflector_count == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("column", ["random", "+e_k", "-e_k"])
+    @pytest.mark.parametrize("scattered", [False, True], ids=["first p", "scattered"])
+    def test_is_s_from_c_at_the_identity(self, seed, column, scattered):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+        rows = np.sort(rng.choice(n, p, replace=False)) if scattered else np.arange(p)
+        sel = RowSelection(rows.tolist()) if scattered else None
+        A = rng.standard_normal((n, p))
+        j = int(rng.integers(p))
+        if column != "random":  # column j = +-e_k at selected row k, the others 0 there
+            A[rows[j]] = 0.0
+        X = np.linalg.qr(A)[0]
+        if column != "random":
+            X[:, j] = 0.0
+            X[rows[j], j] = 1.0 if column == "+e_k" else -1.0  # + makes step j singular
+        rec, ref = s_recursion(X, sel), s_from_c(X, np.eye(p), sel)
+        for field in ("S", "col_norms", "design"):
+            assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
+        assert rec.rank == ref.rank == p - (column == "+e_k")
 
 
 class TestSFromC:
@@ -296,14 +310,17 @@ class TestSFromC:
             s_from_c(np.ones((5, 2)), C)
 
 
+NORMALIZED = {"s_from_c": s_from_c, "sign_fix": lambda X, C: sign_fix(C, X)}
+WITH_C = dict(NORMALIZED, s_recursion=lambda X, C: s_recursion(X))  # C = I
+
+
 class TestNonFiniteInput:
     """An inf or NaN in X or C is an input error (ValueError, as householder_qr
     raises), not a numerically singular C."""
 
     Q = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 3)))[0]
 
-    @pytest.mark.parametrize("build", [s_from_c, lambda X, C: sign_fix(C, X)],
-                             ids=["s_from_c", "sign_fix"])
+    @pytest.mark.parametrize("build", WITH_C.values(), ids=WITH_C)
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_in_x(self, build, value):
         X = self.Q.copy()
@@ -311,13 +328,26 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="infs or NaNs"):
             build(X, np.eye(3))
 
-    @pytest.mark.parametrize("build", [s_from_c, lambda X, C: sign_fix(C, X)],
-                             ids=["s_from_c", "sign_fix"])
+    @pytest.mark.parametrize("name", ["s_from_c", "s_recursion"])
+    def test_nan_row_outside_the_selection(self, name):
+        # a row that sign_fix never reads; its NaN would also make the Gram error NaN
+        Q = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 3)))[0]
+        Q[-1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            WITH_C[name](Q, np.eye(3))
+
+    @pytest.mark.parametrize("build", NORMALIZED.values(), ids=NORMALIZED)
     def test_nan_in_c(self, build):
         C = np.eye(3)
         C[1, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             build(self.Q, C)
+
+    @pytest.mark.parametrize("build", NORMALIZED.values(), ids=NORMALIZED)
+    def test_inf_in_c(self, build):
+        # dgesv solves with C = diag(inf, 1, 1) to a finite X^(p) C^-1 and no error
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            build(self.Q, np.diag([np.inf, 1.0, 1.0]))
 
 
 class TestSignFix:

@@ -99,6 +99,13 @@ class TestFit:
         with pytest.raises(ValueError, match="infs or NaNs"):
             fit_least_squares(X, Y)
 
+    def test_finite_y_whose_fit_overflows(self):
+        # ||Y|| = 2.4e308 is not a float, though every entry of Y is: the error says so
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Y is finite, but its fit exceeds the float"):
+                fit_least_squares(np.ones((4, 1)), [1.7e308, 1.7e308, 0.0, 0.0])
+
 
 class TestBorderedFit:
     """The fit factors [X | Y] once.  Its first p columns are dgeqrt's first
@@ -612,6 +619,13 @@ class TestStandardizePredictor:
     def test_any_constant_rejected(self, value):
         with pytest.raises(ValueError, match="constant"):
             standardize_predictor(np.full(5, value))
+
+    def test_spread_that_overflows(self):
+        # the mean 0 is right, but ||raw - mean|| = 2.4e308 is not a float: not a constant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the float range"):
+                standardize_predictor([1.7e308, -1.7e308, 0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [1e-14, 1e-100, 1e100])
     def test_tiny_and_huge_predictors_accepted(self, scale):
