@@ -39,7 +39,7 @@ def _flapack(directory: str):
 
 
 _lapack = _flapack(f"{scipy.__path__[0]}/linalg")
-dgeqrfp, dgeqrt, dormqr = _lapack.dgeqrfp, _lapack.dgeqrt, _lapack.dormqr
+dgeqrf, dgeqrfp, dgeqrt, dormqr = _lapack.dgeqrf, _lapack.dgeqrfp, _lapack.dgeqrt, _lapack.dormqr
 dgesv, dgetrs, dtrtrs = _lapack.dgesv, _lapack.dgetrs, _lapack.dtrtrs  # orthocomp, regression
 
 # The tolerance table: every threshold at which the library takes a float for zero,
@@ -59,6 +59,12 @@ IDENTITY_TOL = 1e-10
 CONDITION_TOL = 1e-9
 # the quadratic's roots vs their closed forms 1/(sqrt(n)-1), -1/(sqrt(n)+1) (verify_theorem6_roots)
 ROOTS_TOL = 1e-12
+
+# The most entries of an array that _factor hands to dgeqrf rather than dgeqrt.  Up to it
+# dgeqrf runs unblocked (dgeqr2: one dlarfg, dgemv and dger per column) in a third to two
+# thirds of dgeqrt's time.  Past it OpenBLAS may thread the dger (m * n > 8192), and an
+# isolated dgeqrf then took 6-18 ms against dgeqrt's 40-100 us (2-core VM, 2 BLAS threads).
+DGEQRF_MAX_SIZE = 8192
 
 
 class RankDeficiencyError(Exception):
@@ -164,8 +170,9 @@ def _record(cls, **values):
 def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     """Factor X as H_1 ... H_p [T; 0] with T upper triangular.
 
-    Under the standard policy this is one LAPACK ``dgeqrt`` call; other policies
-    run ``dgeqrfp`` per pivot column and ``dormqr`` on the block to its right.
+    Under the standard policy this is one LAPACK call, ``dgeqrf`` up to
+    DGEQRF_MAX_SIZE entries and ``dgeqrt`` above; other policies run
+    ``dgeqrfp`` per pivot column and ``dormqr`` on the block to its right.
     Raises ValueError for an inf or NaN in X, else RankDeficiencyError at
     the first column that _check_column finds dependent on the previous ones.
     """
@@ -224,22 +231,28 @@ def _identity(p: int) -> np.ndarray:
 
 def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
     """The standard-sign QR of the first p columns of A, an n x m Fortran-order
-    array (m >= p) that LAPACK's ``dgeqrt`` overwrites, and the array itself.
+    array (m >= p) that LAPACK overwrites, and the array itself.
 
-    With block size p the first p columns are dgeqrt's first panel, so they
-    factor as they would alone, and the top p rows of any further column end
-    as (Q^T a_j)^(p).  dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm),
-    the standard sign; a -0.0 pivot, for which it picks +, needs A's -0.0
-    entries turned into +0.0 first.  A zero tail gives tau_k = 0 (H_k = I)
-    where the standard reflection is I - 2 e_k e_k^T, which only negates row
-    k, the entries of further columns included.  dgeqrf writes the same
-    layout, but took 8 ms against 0.05 ms at 2000x6 (2-core VM, 2 BLAS
-    threads).
+    Up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``, above it by
+    ``dgeqrt`` with block size p; both write the same layout, and the top p
+    rows of any further column end as (Q^T a_j)^(p).  The first p columns are
+    ``dgeqrt``'s first panel, so they factor bit for bit as they would alone
+    by ``dgeqrt``; ``dgeqrf``'s dgemv, whose sums depend on how many columns
+    it is given, matches that to rounding only.
+    dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm), the standard sign; a
+    -0.0 pivot, for which it picks +, needs A's -0.0 entries turned into +0.0
+    first.  A zero tail gives tau_k = 0 (H_k = I) where the standard reflection
+    is I - 2 e_k e_k^T, which only negates row k, the entries of further
+    columns included.
     """
     n = A.shape[0]
     A[:, :p] += 0.0  # -0.0 to +0.0 in place: a strided np.add into A took 3x as long
-    a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
-    tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
+    if A.size <= DGEQRF_MAX_SIZE:
+        a, tau, _, _ = dgeqrf(A, overwrite_a=True)
+        tau = tau[:p]
+    else:
+        a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
+        tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
     if np.count_nonzero(tau) < p:
         for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
             a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive

@@ -171,7 +171,13 @@ def standardize_predictor(raw) -> StandardizedPredictor:
     """Affine map of the raw predictor to sum zero, sum of squares one."""
     raw = as_vector(raw)
     shift = _mean(raw)
-    t = raw - shift  # centered; the steps below work in place, with the same roundings
+    # centered; the steps below work in place, with the same roundings.  raw_k - shift can
+    # round past the largest float only when |shift| >= 2^970, half that float's ulp
+    if abs(shift) < 2.0 ** 970:
+        t = raw - shift
+    else:
+        with np.errstate(over="ignore"):  # an inf in t makes the spread inf, rejected below
+            t = raw - shift
     scale = _norm(t)
     # RANK_TOL ||raw||, by ||raw|| = hypot(scale, sqrt(n) shift), scaled first: no overflow
     if scale <= math.hypot(RANK_TOL * scale, RANK_TOL * math.sqrt(raw.size) * shift):

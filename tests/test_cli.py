@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg.lapack import dgeqrt
 
 from orthores import cli, core, orthocomp, regression, validation
 from orthores.cli import main, read_csv_matrix
@@ -317,14 +316,17 @@ class TestIndep:
     @pytest.mark.parametrize("rows,calls", [(None, 1), ("0,1,2", 1), ("1,4,7", 1)])
     def test_general_factors_once_without_permutation(self, tmp_path, capsys, monkeypatch,
                                                       rows, calls):
-        # every factorization on the standard-sign path is one LAPACK dgeqrt call
+        # every factorization on the standard-sign path is one LAPACK dgeqrf or dgeqrt call
         counted = []
 
-        def counting(*args, **kwargs):
-            counted.append(1)
-            return dgeqrt(*args, **kwargs)
+        def counting(lapack):
+            def wrapper(*args, **kwargs):
+                counted.append(1)
+                return lapack(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(core, "dgeqrt", counting)
+        for name in ("dgeqrf", "dgeqrt"):
+            monkeypatch.setattr(core, name, counting(getattr(core, name)))
         rng = np.random.default_rng(2)
         data = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
         path = write_csv(tmp_path / "g.csv", data.round(8).tolist())

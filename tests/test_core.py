@@ -19,6 +19,7 @@ from orthores import (
     SignPolicy,
     apply_Qt,
     explicit_orthocomplement_basis,
+    fit_least_squares,
     householder_qr,
     rank_count,
     reconstruct,
@@ -216,6 +217,77 @@ class TestStandardAgainstLoop:
         monkeypatch.setattr(core, "dgeqrfp", fail)
         qr = householder_qr(np.arange(12.0).reshape(4, 3) ** 1.5)
         assert qr.nonzero_reflector_count == 3
+
+
+def _rows(columns: int, side: str) -> int:
+    """Rows of an array with ``columns`` columns at the dgeqrf bound, or one row past it."""
+    return core.DGEQRF_MAX_SIZE // columns + (side == "above")
+
+
+class TestSizeBound:
+    """_factor takes dgeqrf up to DGEQRF_MAX_SIZE entries and dgeqrt above."""
+
+    def test_routine_on_each_side(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            lapack = getattr(core, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return lapack(*args, **kwargs)
+            return wrapper
+
+        for name in ("dgeqrf", "dgeqrt"):
+            monkeypatch.setattr(core, name, counting(name))
+        X = np.random.default_rng(0).standard_normal((_rows(8, "above"), 8))
+        assert X[:-1].size == core.DGEQRF_MAX_SIZE
+        householder_qr(X[:-1])
+        householder_qr(X)
+        assert calls == ["dgeqrf", "dgeqrt"]
+
+    @pytest.mark.parametrize("side", ["at", "above"])
+    def test_negative_zero_pivot_takes_the_standard_sign(self, side):
+        X = np.zeros((_rows(2, side), 2))
+        X[:3] = [[-0.0, 1.0], [1.0, 2.0], [1.0, 3.0]]
+        qr = householder_qr(X)
+        assert qr.T[0, 0] == -np.sqrt(2.0)
+
+    @pytest.mark.parametrize("side", ["at", "above"])
+    def test_zero_tail_negates_its_row(self, side):
+        qr = householder_qr(np.eye(_rows(3, side), 3))
+        np.testing.assert_array_equal(qr.T, -np.eye(3))
+        assert not np.signbit(qr.T[np.triu_indices(3, 1)]).any()
+        assert qr.tau.tolist() == [2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("side", ["at", "above"])
+    def test_zero_tail_in_the_bordered_fit(self, side):
+        # both of X's tails are zero, so tau = 0 and the fix-up negates z as well
+        n = _rows(3, side)  # [X | Y] has 3 columns
+        X, Y = np.eye(n, 2), np.zeros(n)
+        Y[:2] = [2.0, -3.0]
+        fit = fit_least_squares(X, Y)
+        np.testing.assert_array_equal(fit.beta_hat, [2.0, -3.0])
+        assert fit.rss == 0.0 and fit.qr.tau.tolist() == [2.0, 2.0]
+
+    def test_both_sides_agree(self):
+        # the same X at the bound and with one zero row more: the same reflections
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((_rows(8, "at"), 8))
+        X[:, 0] = 0.0
+        X[0, 0] = 3.0  # a zero tail: tau[0] = 0
+        X[:, 1] = 0.0
+        X[:2, 1] = [1.0, -2.0]  # a zero tail once reflection 0 is I: tau[1] = 0
+        X[2, 2] = -0.0  # a -0.0 pivot, since reflections 0 and 1 leave row 2 alone
+        at, above = householder_qr(X), householder_qr(np.vstack([X, np.zeros((1, 8))]))
+        assert at.tau[:2].tolist() == above.tau[:2].tolist() == [2.0, 2.0]
+        assert at.T[2, 2] < 0.0 and above.T[2, 2] < 0.0
+        assert np.array_equal(np.signbit(at.T.diagonal()), np.signbit(above.T.diagonal()))
+        assert np.array_equal(at.tau == 0.0, above.tau == 0.0)
+        assert (np.abs(at.T - above.T) <= 1e-13 * at.col_norms).all()
+        assert (np.abs(above.packed[:-1] - at.packed)[np.tri(*X.shape, -1, dtype=bool)]
+                <= 1e-13).all()
+        assert not above.packed[-1].any()
 
 
 class TestLoopPolicies:
@@ -520,7 +592,7 @@ def run_fresh(script: str, *args: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-SIX = "('dgeqrfp', 'dgeqrt', 'dormqr', 'dgesv', 'dgetrs', 'dtrtrs')"
+SEVEN = "('dgeqrf', 'dgeqrfp', 'dgeqrt', 'dormqr', 'dgesv', 'dgetrs', 'dtrtrs')"
 
 
 class TestLapackLoader:
@@ -538,7 +610,7 @@ class TestLapackLoader:
         run_fresh(f"import {first}, {second}\n"
                   "from orthores import core, orthocomp, regression\n"
                   "from scipy.linalg import lapack\n"
-                  f"for name in {SIX}:\n"
+                  f"for name in {SEVEN}:\n"
                   "    assert getattr(core, name) is getattr(lapack, name), name\n"
                   "assert orthocomp.dgesv is lapack.dgesv and orthocomp.dgetrs is lapack.dgetrs\n"
                   "assert orthocomp.dtrtrs is regression.dtrtrs is lapack.dtrtrs")
@@ -559,6 +631,6 @@ class TestLapackLoader:
                   "module = _flapack(sys.argv[1])\n"
                   "from scipy.linalg import lapack\n"
                   "assert module is lapack, module\n"
-                  f"for name in {SIX}:\n"
+                  f"for name in {SEVEN}:\n"
                   "    assert getattr(module, name) is getattr(sys.modules['orthores.core'], name)",
                   str(tmp_path))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtrs
 
@@ -108,10 +108,12 @@ class TestFit:
 
 
 class TestBorderedFit:
-    """The fit factors [X | Y] once.  Its first p columns are dgeqrt's first
-    panel, so the QR of X is the one householder_qr gives; the top of the last
-    column is z, which the route through householder_qr, apply_Qt and dtrtrs
-    takes from a second pass over Y."""
+    """The fit factors [X | Y] once; the top of its last column is z, which the
+    route through householder_qr, apply_Qt and dtrtrs takes from a second pass
+    over Y.  Above DGEQRF_MAX_SIZE the first p columns are dgeqrt's first panel,
+    so the QR of X is bit for bit the one householder_qr gives; below it
+    dgeqrf's dgemv sums X's columns together with Y, so the two agree to
+    rounding."""
 
     @staticmethod
     def two_pass(X, Y):
@@ -124,14 +126,26 @@ class TestBorderedFit:
     @given(p=st.integers(1, 6), extra=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            log_d=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6),
            log_c=st.floats(-8.0, 8.0))
+    # X alone above the bound: 2049 x 4 and 1366 x 6 (8196 entries)
+    @example(p=4, extra=2045, seed=7, log_d=[0.0, 3.0, -5.0, 8.0, 0.0, 0.0], log_c=2.0)
+    @example(p=6, extra=1360, seed=8, log_d=[-8.0, 8.0, 0.0, 1.0, -2.0, 4.0], log_c=-6.0)
     def test_matches_the_two_pass_route(self, p, extra, seed, log_d, log_c):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((p + extra, p)) * 10.0 ** np.array(log_d[:p])
         Y = 10.0 ** log_c * rng.standard_normal(p + extra)
         fit = fit_least_squares(X, Y)
         qr, beta, R = self.two_pass(X, Y)
-        for field in ("T", "packed", "tau", "col_norms"):
-            assert np.array_equal(getattr(fit.qr, field), getattr(qr, field)), field
+        if X.size > core.DGEQRF_MAX_SIZE:
+            for field in ("T", "packed", "tau", "col_norms"):
+                assert np.array_equal(getattr(fit.qr, field), getattr(qr, field)), field
+        else:  # the same reflections, each entry within 1e-13 (about 450 ulps) of its scale
+            assert np.array_equal(np.signbit(fit.qr.T.diagonal()), np.signbit(qr.T.diagonal()))
+            assert np.array_equal(fit.qr.tau == 0.0, qr.tau == 0.0)
+            assert (np.abs(fit.qr.T - qr.T) <= 1e-13 * qr.col_norms).all()
+            below = np.tri(*X.shape, -1, dtype=bool)  # the reflectors; on and above is not read
+            assert (np.abs(fit.qr.packed - qr.packed)[below] <= 1e-13).all()  # |u_k| <= 1
+            assert (np.abs(fit.qr.tau - qr.tau) <= 1e-13).all()  # tau_k in [1, 2]
+            assert (np.abs(fit.qr.col_norms - qr.col_norms) <= 1e-13 * qr.col_norms).all()
         norm_y = np.linalg.norm(Y)
         assert (np.abs(fit.beta_hat - beta) * qr.col_norms <= 1e-13 * norm_y).all()
         assert (np.abs(fit.residuals - R) <= 1e-13 * norm_y).all()
@@ -147,11 +161,11 @@ class TestBorderedFit:
                 return lapack(*args, **kwargs)
             return wrapper
 
-        for name in ("dgeqrt", "dormqr"):
+        for name in ("dgeqrf", "dgeqrt", "dormqr"):
             monkeypatch.setattr(core, name, counting(name))
         X = np.column_stack([np.ones(9), np.arange(9.0)])
         fit_least_squares(X, np.sin(np.arange(9.0)))
-        assert calls == ["dgeqrt"]
+        assert calls == ["dgeqrf"]
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_response_in_column_space(self, exact):
@@ -621,11 +635,13 @@ class TestStandardizePredictor:
             standardize_predictor(np.full(5, value))
 
     def test_spread_that_overflows(self):
-        # the mean 0 is right, but ||raw - mean|| = 2.4e308 is not a float: not a constant
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="exceeds the float range"):
-                standardize_predictor([1.7e308, -1.7e308, 0.0, 0.0])
+        # the mean 0 is right, but ||raw - mean|| = 2.4e308 is not a float: not a constant;
+        # with the mean 5.7e307, raw - mean itself leaves the float range, with no warning
+        for raw in ([1.7e308, -1.7e308, 0.0, 0.0], [1.7e308, 1.7e308, -1.7e308]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="exceeds the float range"):
+                    standardize_predictor(raw)
 
     @pytest.mark.parametrize("scale", [1e-14, 1e-100, 1e100])
     def test_tiny_and_huge_predictors_accepted(self, scale):
