@@ -63,9 +63,8 @@ def read_csv_matrix(path: str) -> np.ndarray:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     except ValueError as exc:  # a cell numpy cannot parse, or ragged rows
         raise CliError(EXIT_INPUT, f"{path}: {exc}")
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        i, j = bad[0]
+    if not np.isfinite(matrix).all():  # a 20th of argwhere's time; locate the cell only here
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise CliError(EXIT_INPUT, f"{path} data row {i + 1}, column {j + 1}: "
                                    f"non-finite value {matrix[i, j]}")
     return matrix

@@ -253,15 +253,17 @@ def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
     else:
         a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
         tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
-    if np.count_nonzero(tau) < p:
+    if 0.0 in tau.tolist():  # a zero reflector; the list test beats np.count_nonzero
         for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
             a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
             tau[k] = 2.0
     T = a[:p, :p].copy()  # C order; below its diagonal a holds the reflectors
     T[_strict_lower(p)] = 0.0
     col_norms = np.hypot.reduce(T, axis=0)  # ||T e_k|| = ||x_k||; row signs do not move it
-    for k, (t, col_norm) in enumerate(zip(T.diagonal().tolist(), _check_finite(col_norms))):
-        _check_column(k, abs(t), col_norm)  # |T_kk| is the pivot tail norm
+    norms = col_norms.tolist()
+    for k, t in enumerate(T.diagonal().tolist()):  # |T_kk| is the pivot tail norm
+        if not abs(t) > RANK_TOL * norms[k] < math.inf:  # a NaN fails too; the gate comes first
+            _check_column(k, abs(t), _check_finite(col_norms)[k])
     qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=col_norms)
     return qr, a
 

@@ -149,10 +149,11 @@ def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
     """Standard-sign factorization of X with the selected rows permuted to the front."""
     X = as_matrix(X)
     n, p = X.shape
-    if isinstance(_rows(sel, p, n), slice):
+    if isinstance(idx := _rows(sel, p, n), slice):
         return householder_qr(X)
+    perm = np.concatenate((idx, sel._unselected(n).nonzero()[0]))  # as sel.permutation(n)
     # p selected rows below n, so p <= n; two copies beat one take into Fortran order (ROADMAP)
-    return _factor(np.asfortranarray(X.take(sel.permutation(n), 0)), p)[0]
+    return _factor(np.asfortranarray(X.take(perm, 0)), p)[0]
 
 
 def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProjector:
@@ -168,7 +169,7 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
     rows = _rows(sel, p, n)
-    if qr.nonzero_reflector_count < p:  # the rank formula
+    if 0.0 in qr.tau.tolist():  # the rank formula: a zero reflector
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     head = X[rows]  # on a column-major X, take would first copy X to row-major
     S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]

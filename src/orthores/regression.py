@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every,
-                   _factor, _norm, _record, as_matrix, as_vector, dtrtrs)
+from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _factor,
+                   _norm, _record, as_matrix, as_vector, dtrtrs)
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 
@@ -65,7 +65,7 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A[:, p] = Y
     qr, a = _factor(A, p)  # its finiteness gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
-    y_norm = float(np.hypot.reduce(head))
+    y_norm = math.hypot(*head.tolist())  # a scale and an overflow test only: not an output
     if not y_norm < math.inf:  # an inf or NaN in Y, or a finite Y whose fit overflows
         _check_finite(Y)
         raise ValueError("Y is finite, but its fit exceeds the float range")
@@ -73,18 +73,24 @@ def fit_least_squares(X, Y) -> RegressionFit:
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
     R = Y - X.dot(beta)  # dot: matmul's BLAS call and bits, less its per-call dispatch
-    err = np.abs(X.T.dot(R)) / qr.col_norms
-    if not _every(err <= ORTHO_TOL * y_norm):  # |x_k^T R| / ||x_k||; a NaN fails too
-        raise ArithmeticError(f"normal-equation residual too large: {np.max(err):.3e}")
+    g, nrm = X.T.dot(R), qr.col_norms  # |x_k^T R| / ||x_k||, in Python floats; a NaN fails too
+    if not all(abs(d) / c <= ORTHO_TOL * y_norm for d, c in zip(g.tolist(), nrm.tolist())):
+        raise ArithmeticError(f"normal-equation residual too large: {np.max(np.abs(g) / nrm):.3e}")
     return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr)
 
 
-def _mean(v: np.ndarray) -> float:
-    """Mean of v, also where v.sum() would overflow; an inf or NaN raises ValueError."""
-    if float(np.vdot(v, v)) < math.inf:  # then |v.sum()| <= sqrt(n) ||v|| is finite too
-        return float(v.sum() / v.size)
+def _with_mean(v: np.ndarray, build, what: str = "Y is finite, but its fit"):
+    """build(mean) for the mean of v, also where v.sum() would overflow; an inf or NaN raises
+    ValueError, and so does a step of build that leaves the float range, naming ``what``."""
+    if float(np.vdot(v, v)) < math.inf:  # then v.sum(), and any result linear in v, is finite
+        return build(float(v.sum()) / v.size)  # the same IEEE division, on Python floats
     (top,) = _check_finite(np.abs(v).max(keepdims=True))
-    return top * float((v / top).sum() / v.size)  # |v_k / top| <= 1: no sum overflows
+    mean = top * float((v / top).sum() / v.size)  # |v_k / top| <= 1: no sum overflows
+    try:
+        with np.errstate(over="raise"):
+            return build(mean)
+    except FloatingPointError:
+        raise ValueError(f"{what} exceeds the float range") from None
 
 
 def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray,
@@ -119,8 +125,7 @@ def student_w(Y, variant: str = "minus") -> IndependentResiduals:
     Y = as_vector(Y)
     n = Y.size
     S = student_coefficient(n, variant)
-    mean = _mean(Y)
-    return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S)
+    return _with_mean(Y, lambda mean: _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S))
 
 
 def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
@@ -158,30 +163,23 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
         raise ValueError("need at least 3 observations")
     if tv.size != n:
         raise ValueError(f"predictor length {tv.size} != {n}")
-    a_hat = _mean(Y)
-    b_hat = float(tv.dot(Y))
-    R = Y - a_hat - b_hat * tv
     X = np.empty((n, 2))  # [1, t]; column_stack costs more than the fill
     X[:, 0] = 1.0
     X[:, 1] = tv
-    return _construct(X, np.array([a_hat, b_hat]), R, univariate_coefficients(tv, n, variant))
+    return _with_mean(Y, lambda a_hat: _construct(  # the slope and R are steps of build too
+        X, np.array([a_hat, b_hat := float(tv.dot(Y))]), Y - a_hat - b_hat * tv,
+        univariate_coefficients(tv, n, variant)))
 
 
 def standardize_predictor(raw) -> StandardizedPredictor:
     """Affine map of the raw predictor to sum zero, sum of squares one."""
     raw = as_vector(raw)
-    shift = _mean(raw)
-    # centered; the steps below work in place, with the same roundings.  raw_k - shift can
-    # round past the largest float only when |shift| >= 2^970, half that float's ulp
-    if abs(shift) < 2.0 ** 970:
-        t = raw - shift
-    else:
-        with np.errstate(over="ignore"):  # an inf in t makes the spread inf, rejected below
-            t = raw - shift
+    # centered; the steps below work in place, with the same roundings
+    shift, t = _with_mean(raw, lambda m: (m, raw - m), "the predictor's spread ||raw - mean||")
     scale = _norm(t)
     # RANK_TOL ||raw||, by ||raw|| = hypot(scale, sqrt(n) shift), scaled first: no overflow
     if scale <= math.hypot(RANK_TOL * scale, RANK_TOL * math.sqrt(raw.size) * shift):
-        if scale == math.inf:  # raw is finite, as _mean checked
+        if scale == math.inf:  # raw is finite, as _with_mean checked
             raise ValueError("the predictor's spread ||raw - mean|| exceeds the float range")
         raise ValueError("predictor is constant (collinear with the intercept)")
     t /= scale

@@ -67,6 +67,14 @@ class TestQr:
         assert main(["indep", path, "--mode", "student"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_non_finite_cell_is_located(self, tmp_path, capsys):
+        # the reader tests the whole matrix at once, then finds the first bad cell
+        path = write_csv(tmp_path / "nf.csv", [[1.0, 2.0], [3.0, "inf"], ["nan", 4.0]],
+                         header=["x", "y"])
+        assert main(["qr", path]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("nf.csv data row 2, column 2: non-finite value inf\n"), err
+
     def test_header_detected(self, tmp_path, capsys):
         path = write_csv(tmp_path / "h.csv", [[1.0]] * 4, header=["x1"])
         code, out = run(capsys, ["qr", path])

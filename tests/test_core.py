@@ -261,6 +261,26 @@ class TestSizeBound:
         assert qr.tau.tolist() == [2.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("side", ["at", "above"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, None])
+    def test_non_finite_after_a_dependent_column(self, side, value):
+        # the finiteness gate and the rank test share one loop: an inf or NaN in column 3
+        # is still an input error though column 2 is dependent, and without it column 2 is
+        # still the rank error, whichever routine factors
+        sel = orthocomp.RowSelection((1, 4, 9))
+        for columns, factor in [(3, householder_qr),
+                                (3, lambda X: orthocomp.qr_for_selection(X, sel)),
+                                (4, lambda X: fit_least_squares(X, np.ones(len(X))))]:  # [X | Y]
+            X = np.random.default_rng(6).standard_normal((_rows(columns, side), 3))
+            X[:, 1] = 2.0 * X[:, 0]
+            if value is None:
+                with pytest.raises(RankDeficiencyError, match="at column 2"):
+                    factor(X)
+                continue
+            X[5, 2] = value
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                factor(X)
+
+    @pytest.mark.parametrize("side", ["at", "above"])
     def test_zero_tail_in_the_bordered_fit(self, side):
         # both of X's tails are zero, so tau = 0 and the fix-up negates z as well
         n = _rows(3, side)  # [X | Y] has 3 columns

@@ -62,6 +62,19 @@ SELECTIONS = [(12, (0, 1, 2)), (12, (1, 5, 9)), (12, (3, 7, 11)),
               (4, (0, 1, 2)), (4, (0, 2, 3)), (2, (1,))]
 
 
+class TestQrForSelection:
+    @pytest.mark.parametrize("n,rows", SELECTIONS + [(1400, (3, 700, 1399)), (1500, (0, 2, 9))])
+    def test_is_the_qr_of_the_permuted_rows(self, n, rows):
+        # 1400 x 3 and 1500 x 3 lie past DGEQRF_MAX_SIZE, the others below it
+        X = np.random.default_rng(n).standard_normal((n, len(rows)))
+        X[0, 0] = -0.0
+        qr = qr_for_selection(X, RowSelection(rows))
+        ref = householder_qr(X[listed_permutation(n, rows)])
+        for field in ("packed", "tau", "T", "col_norms"):  # bit for bit, zero signs included
+            got, want = getattr(qr, field), getattr(ref, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+
+
 class TestRowSelection:
     def test_permutation(self):
         sel = RowSelection((1, 3))

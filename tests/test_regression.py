@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -105,6 +106,28 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="Y is finite, but its fit exceeds the float"):
                 fit_least_squares(np.ones((4, 1)), [1.7e308, 1.7e308, 0.0, 0.0])
+
+    def test_finite_y_whose_fit_overflows_past_the_bound(self):
+        # [X | Y] has 18,000 entries, so dgeqrt factors it; ||Y|| = 2.4e308 all the same
+        Y = np.zeros(9000)
+        Y[:2] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Y is finite, but its fit exceeds the float"):
+                fit_least_squares(np.ones((9000, 1)), Y)
+
+    def test_y_whose_squares_overflow(self):
+        # Y is about 1e160, so Y . Y is not a float, but ||Y||, taken from the head of the
+        # bordered column, and the fit are: no warning, and 2^532 times the fit of Y / 2^532
+        rng = np.random.default_rng(14)
+        X = np.column_stack([np.ones(12), rng.standard_normal(12)])
+        Y = X @ [3.0, -2.0] + 1e-20 * rng.standard_normal(12)  # R'R of the big fit is a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = fit_least_squares(X, 2.0 ** 532 * Y)
+        fit = fit_least_squares(X, Y)
+        np.testing.assert_allclose(big.beta_hat / 2.0 ** 532, fit.beta_hat, rtol=1e-14)
+        assert np.abs(big.residuals / 2.0 ** 532 - fit.residuals).max() <= 1e-14 * np.linalg.norm(Y)
 
 
 class TestBorderedFit:
@@ -446,6 +469,36 @@ class TestMeanOfTheInput:
             got = np.divide(getattr(big, f.name), 1.0 if f.name == "t" else 1e308)
             np.testing.assert_allclose(got, getattr(small, f.name), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("call,y", [
+        ("student_w", [1.7e308, 1.7e308, -1.7e308]),  # Y - mean: -1.7e308 - 5.7e307
+        ("student_w", [1.7e308, -1.7e308]),  # the mean 0 is right, but W_1 is -2.4e308
+        ("univariate_w", [1.7e308, 1.7e308, -1.7e308, -1.7e308]),  # the slope t . Y overflows
+        ("univariate_w", [1.7e308, -1.7e308, -1.7e308, 1.7e308]),
+    ])
+    def test_result_that_overflows(self, call, y):
+        # the input's mean is a float, but a step of the construction is not: the fit's
+        # float-range error, not numpy's overflow warning and an inf or a NaN in the result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Y is finite, but its fit exceeds the float"):
+                self.CALLS[call](np.array(y))
+
+    @pytest.mark.parametrize("call", ["student_w", "univariate_w"])
+    def test_near_the_largest_float_finite_or_float_range_error(self, call):
+        # every pattern of +-1.7e308, +-1e308 and 0 in 4 entries: finite outputs or the
+        # float-range error, and never a warning
+        values = [1.7e308, -1.7e308, 1e308, -1e308, 0.0]
+        for y in itertools.product(values, repeat=4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = self.CALLS[call](np.array(y))
+                except ValueError as exc:
+                    assert "exceeds the float range" in str(exc), y
+                    continue
+            for f in dataclasses.fields(res):
+                assert np.isfinite(getattr(res, f.name)).all(), (y, f.name)
+
     def test_shift_near_the_largest_float(self):
         # sqrt(n) shift = 2.25e308 overflows, though RANK_TOL sqrt(n) shift does not
         with warnings.catch_warnings():
@@ -458,7 +511,7 @@ class TestMeanOfTheInput:
     def test_finite_sum_keeps_the_quotient(self):
         y = 3.0 + np.random.default_rng(31).standard_normal(50)
         assert standardize_predictor(y).shift == float(y.sum() / y.size)
-        assert regression._mean(y) == float(y.sum() / y.size)
+        assert regression._with_mean(y, float) == float(y.sum() / y.size)
 
 
 class TestResultRecords:
