@@ -205,11 +205,10 @@ def cmd_indep(args) -> None:
     rss = fit.rss
     result = construct(fit)
     wss = float(result.W @ result.W)
-    # below n eps ||Y||^2 a sum of squares is rounding noise at the data's
-    # scale (a response in col(X)), so the identity is held to that floor
-    floor = (np.sqrt(n * np.finfo(np.float64).eps) * _norm(Y)) ** 2
-    scale = max(rss, floor) if np.isfinite(floor) else rss
-    rel_err = abs(wss - rss) / scale if scale != 0.0 else abs(wss)
+    # below n eps ||Y||^2 a sum of squares is rounding noise at the data's scale (a response
+    # in col(X)), so the identity is held to that floor; in units of ||Y||^2, so none overflows
+    unit, floor = _norm(Y), n * sys.float_info.epsilon  # Python floats: no numpy warnings
+    rel_err = abs(wss - rss) / unit / unit / max(rss / unit / unit, floor) if unit else abs(wss)
     if not rel_err < args.tol:  # NaN fails too
         raise CliError(EXIT_IDENTITY,
                        f"sum-of-squares identity violated: wss={wss!r}, rss={rss!r}")

@@ -183,10 +183,11 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     if policy.kind == "custom" and len(policy.signs) != p:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
     if policy.kind == "standard":
-        return _factor(A, p)[0]
-    col_norms = np.hypot.reduce(A, axis=0)  # ||x_k||, with no overflow near 1e200
+        return _factor(A, p, X)[0]
+    with np.errstate(over="ignore"):  # an inf norm is _check_finite's to report
+        col_norms = np.hypot.reduce(A, axis=0)  # ||x_k||, with no overflow near 1e200
     tau = np.zeros(p)
-    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, _check_finite(col_norms))):
+    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, _check_finite(col_norms, A))):
         # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
         a, t, _ = dgeqrfp(-d * A[k:, k:k + 1])
         _check_column(k, a[0, 0], col_norm)  # a[0, 0] is the pivot tail norm, taken by dnrm2
@@ -198,10 +199,15 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     return HouseholderQR(n=n, p=p, packed=A, tau=tau, T=np.triu(A[:p]), col_norms=col_norms)
 
 
-def _check_finite(col_norms: np.ndarray) -> list[float]:
-    """The finiteness gate of every factorization: all column norms, before any rank test."""
+def _check_finite(col_norms: np.ndarray, X) -> list[float]:
+    """The finiteness gate of every factorization: all column norms of X, before any rank test.
+    X's entries are read on failure only, to tell an inf or NaN from a norm past the float range."""
     if not all(map(math.isfinite, norms := col_norms.tolist())):
-        raise ValueError("array must not contain infs or NaNs")
+        if not _every(np.isfinite(np.asarray(X, dtype=np.float64))):
+            raise ValueError("array must not contain infs or NaNs")
+        k = list(map(math.isfinite, norms)).index(False)
+        raise ValueError(f"column {k + 1} is finite, but its norm exceeds the float range "
+                         "in the factorization")
     return norms
 
 
@@ -229,9 +235,10 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
+def _factor(A: np.ndarray, p: int, X) -> tuple[HouseholderQR, np.ndarray]:
     """The standard-sign QR of the first p columns of A, an n x m Fortran-order
-    array (m >= p) that LAPACK overwrites, and the array itself.
+    array (m >= p) that LAPACK overwrites, and the array itself.  X, for
+    _check_finite, holds what those columns held, in any row order.
 
     Up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``, above it by
     ``dgeqrt`` with block size p; both write the same layout, and the top p
@@ -263,7 +270,7 @@ def _factor(A: np.ndarray, p: int) -> tuple[HouseholderQR, np.ndarray]:
     norms = col_norms.tolist()
     for k, t in enumerate(T.diagonal().tolist()):  # |T_kk| is the pivot tail norm
         if not abs(t) > RANK_TOL * norms[k] < math.inf:  # a NaN fails too; the gate comes first
-            _check_column(k, abs(t), _check_finite(col_norms)[k])
+            _check_column(k, abs(t), _check_finite(col_norms, X)[k])
     qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=col_norms)
     return qr, a
 

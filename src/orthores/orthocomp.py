@@ -153,7 +153,7 @@ def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
         return householder_qr(X)
     perm = np.concatenate((idx, sel._unselected(n).nonzero()[0]))  # as sel.permutation(n)
     # p selected rows below n, so p <= n; two copies beat one take into Fortran order (ROADMAP)
-    return _factor(np.asfortranarray(X.take(perm, 0)), p)[0]
+    return _factor(np.asfortranarray(X.take(perm, 0)), p, X)[0]
 
 
 def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProjector:

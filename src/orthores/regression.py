@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _factor,
-                   _norm, _record, as_matrix, as_vector, dtrtrs)
+from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every,
+                   _factor, _norm, _record, as_matrix, as_vector, dtrtrs)
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 
@@ -63,12 +63,11 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A = np.empty((n, p + 1), order="F")
     A[:, :p] = X
     A[:, p] = Y
-    qr, a = _factor(A, p)  # its finiteness gate and rank test read X's columns only
+    qr, a = _factor(A, p, X)  # its finiteness gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
-    y_norm = math.hypot(*head.tolist())  # a scale and an overflow test only: not an output
-    if not y_norm < math.inf:  # an inf or NaN in Y, or a finite Y whose fit overflows
-        _check_finite(Y)
-        raise ValueError("Y is finite, but its fit exceeds the float range")
+    y_norm = math.hypot(*head.tolist())  # a scale and the band test only: not an output
+    if not _BAND[0] <= y_norm * y_norm <= _BAND[1] and Y.any():  # an inf, NaN or overflow too
+        return _rescaled(lambda y: fit_least_squares(X, y), Y)
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
@@ -79,18 +78,27 @@ def fit_least_squares(X, Y) -> RegressionFit:
     return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr)
 
 
-def _with_mean(v: np.ndarray, build, what: str = "Y is finite, but its fit"):
-    """build(mean) for the mean of v, also where v.sum() would overflow; an inf or NaN raises
-    ValueError, and so does a step of build that leaves the float range, naming ``what``."""
-    if float(np.vdot(v, v)) < math.inf:  # then v.sum(), and any result linear in v, is finite
-        return build(float(v.sum()) / v.size)  # the same IEEE division, on Python floats
-    (top,) = _check_finite(np.abs(v).max(keepdims=True))
-    mean = top * float((v / top).sum() / v.size)  # |v_k / top| <= 1: no sum overflows
-    try:
-        with np.errstate(over="raise"):
-            return build(mean)
-    except FloatingPointError:
-        raise ValueError(f"{what} exceeds the float range") from None
+# Where ||v||^2 lies in this band, no step of the fit or the constructions on v overflows.
+# Outside it, unless v = 0, they run on v 2^-e (_rescaled): exact, and their outputs are linear
+# in v (t does not depend on v's scale), so they scale back, as LAPACK's dgels does.
+_BAND = (2.0 ** -1000, 2.0 ** 1000)
+
+
+def _rescaled(call, v: np.ndarray, what: str = "Y is finite, but its fit"):
+    """call(v 2^-e), e the exponent of max |v|, with its outputs scaled back by 2^e (rss by 2^2e);
+    an inf or NaN in v raises ValueError, and so does an output past the float range, named."""
+    (top,) = _check_finite(np.abs(v).max(keepdims=True), v)
+    e = math.frexp(top)[1]
+    record = call(np.ldexp(v, -e))
+    values = vars(record).copy()
+    for name, value in vars(record).items():
+        if name not in ("X", "qr", "t"):  # the outputs that do not depend on v's scale
+            with np.errstate(over="ignore"):
+                value = np.ldexp(value, 2 * e if name == "rss" else e)
+            if not _every(np.isfinite(value)):
+                raise ValueError(f"{what} exceeds the float range ({name})")
+            values[name] = value if value.ndim else float(value)
+    return _record(type(record), **values)
 
 
 def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray,
@@ -125,7 +133,10 @@ def student_w(Y, variant: str = "minus") -> IndependentResiduals:
     Y = as_vector(Y)
     n = Y.size
     S = student_coefficient(n, variant)
-    return _with_mean(Y, lambda mean: _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S))
+    if not _BAND[0] <= float(np.vdot(Y, Y)) <= _BAND[1] and Y.any():
+        return _rescaled(lambda y: student_w(y, variant), Y)
+    mean = float(Y.sum()) / n  # the same IEEE division, on Python floats
+    return _construct(np.ones((n, 1)), np.array([mean]), Y - mean, S)
 
 
 def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
@@ -163,24 +174,25 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
         raise ValueError("need at least 3 observations")
     if tv.size != n:
         raise ValueError(f"predictor length {tv.size} != {n}")
+    if not _BAND[0] <= float(np.vdot(Y, Y)) <= _BAND[1] and Y.any():
+        return _rescaled(lambda y: univariate_w(t, y, variant), Y)
     X = np.empty((n, 2))  # [1, t]; column_stack costs more than the fill
     X[:, 0] = 1.0
     X[:, 1] = tv
-    return _with_mean(Y, lambda a_hat: _construct(  # the slope and R are steps of build too
-        X, np.array([a_hat, b_hat := float(tv.dot(Y))]), Y - a_hat - b_hat * tv,
-        univariate_coefficients(tv, n, variant)))
+    a_hat, b_hat = float(Y.sum()) / n, float(tv.dot(Y))
+    return _construct(X, np.array([a_hat, b_hat]), Y - a_hat - b_hat * tv,
+                      univariate_coefficients(tv, n, variant))
 
 
 def standardize_predictor(raw) -> StandardizedPredictor:
     """Affine map of the raw predictor to sum zero, sum of squares one."""
     raw = as_vector(raw)
-    # centered; the steps below work in place, with the same roundings
-    shift, t = _with_mean(raw, lambda m: (m, raw - m), "the predictor's spread ||raw - mean||")
+    if not _BAND[0] <= (ss := float(np.vdot(raw, raw))) <= _BAND[1] and raw.any():
+        return _rescaled(standardize_predictor, raw, "the predictor is finite, but its spread")
+    shift = float(raw.sum()) / raw.size
+    t = raw - shift  # centered; the steps below work in place, with the same roundings
     scale = _norm(t)
-    # RANK_TOL ||raw||, by ||raw|| = hypot(scale, sqrt(n) shift), scaled first: no overflow
-    if scale <= math.hypot(RANK_TOL * scale, RANK_TOL * math.sqrt(raw.size) * shift):
-        if scale == math.inf:  # raw is finite, as _with_mean checked
-            raise ValueError("the predictor's spread ||raw - mean|| exceeds the float range")
+    if scale <= RANK_TOL * math.sqrt(ss):  # RANK_TOL ||raw||
         raise ValueError("predictor is constant (collinear with the intercept)")
     t /= scale
     # one refinement pass to pin the sum-zero invariant at rounding level

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -117,6 +118,15 @@ class TestQr:
         assert capsys.readouterr().out == ""
         assert not dest.exists()
 
+    @pytest.mark.parametrize("policy", ["standard", "to-positive"])
+    def test_finite_column_whose_norm_overflows(self, tmp_path, capsys, policy):
+        # every cell is a float, so the error names the column, not infs or NaNs
+        path = write_csv(tmp_path / "x.csv", [[1.7e308], [-1.7e308], [1e308], [0.0]])
+        assert main(["qr", path, "--policy", policy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column 1 is finite, but its norm exceeds the float range" in captured.err
+
     def test_to_positive_reflector_norms(self, tmp_path, capsys):
         # the matrix and the squared norms pinned for the reflector loop
         X = [[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [-1.0, 0.25, 4.0], [3.0, 1.0, 1.0]]
@@ -194,13 +204,13 @@ class TestResiduals:
         assert main(["residuals", str(path)]) == 2
 
     def test_non_finite_result(self, tmp_path, capsys):
-        # R'R overflows to inf, which JSON cannot carry
+        # R'R (1.8e401) is not a float: the fit's float-range error, an input error
         path = write_csv(tmp_path / "big.csv", [[1e200], [-2e200], [4e200]])
         dest = tmp_path / "out.json"
-        with np.errstate(over="ignore"):
-            assert main(["residuals", path]) == 4
-            assert main(["residuals", path, "--out", str(dest)]) == 4
-        assert capsys.readouterr().out == ""
+        assert main(["residuals", path]) == 2
+        assert main(["residuals", path, "--out", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the float range (rss)" in captured.err
         assert not dest.exists()
 
 
@@ -240,6 +250,15 @@ class TestIndep:
         floor = n * np.finfo(float).eps * (n * value ** 2)  # n eps ||Y||^2
         assert abs(out["wss"] - out["rss"]) <= 1e-10 * floor
 
+    def test_constant_response_whose_floor_overflows(self, tmp_path, capsys):
+        # n eps ||Y||^2 = 2.2e308 is not a float, and rss (about 1e291) is rounding noise
+        # below it: the identity is held to the floor in units of ||Y||^2, with no warning
+        path = write_csv(tmp_path / "y.csv", [[1e160]] * 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["indep", path, "--mode", "student"])
+        assert code == 0 and len(out["W"]) == 99
+
     @pytest.mark.parametrize("mode", ["univariate", "general"])
     def test_response_in_col_x(self, tmp_path, capsys, mode):
         rng = np.random.default_rng(3)
@@ -278,10 +297,9 @@ class TestIndep:
         assert out["rss"] > 0.0 and len(out["W"]) == 2
 
     def test_overflowing_sum_of_squares(self, tmp_path, capsys):
-        # R'R and W'W overflow to inf, so the identity check sees NaN
+        # R'R is not a float: the fit's float-range error, before any identity check
         path = write_csv(tmp_path / "big.csv", [[1e200], [-2e200], [4e200]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["indep", path, "--mode", "student"]) == 4
+        assert main(["indep", path, "--mode", "student"]) == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("mode, rows", [
@@ -295,6 +313,19 @@ class TestIndep:
             assert main(["indep", path, "--mode", mode]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds the float range" in captured.err
+
+    @pytest.mark.parametrize("command", [["residuals"], ["indep", "--mode", "student"]])
+    def test_near_the_largest_float_exit_0_or_float_range_error(self, tmp_path, capsys, command):
+        # every pattern of 1.7e308, -1e308, +-1e160 and 0 in 3 rows: JSON, or exit 2 with the
+        # float-range error, and never a warning, from the fit to the identity check
+        values = ["1.7e308", "-1e308", "1e160", "-1e160", "0"]
+        for y in itertools.product(values, repeat=3):
+            path = write_csv(tmp_path / "y.csv", [[v] for v in y])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command[0], path, *command[1:]])
+            err = capsys.readouterr().err
+            assert err == "" if code == 0 else code == 2 and "exceeds the float range" in err, y
 
     def test_univariate(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

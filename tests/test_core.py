@@ -281,6 +281,28 @@ class TestSizeBound:
                 factor(X)
 
     @pytest.mark.parametrize("side", ["at", "above"])
+    @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE, SignPolicy.custom([1, -1])],
+                             ids=["standard", "to-positive", "custom"])
+    def test_finite_column_whose_norm_overflows(self, side, policy):
+        # ||x_2|| is about 2.6e308, though every entry of X is a float: the error names the
+        # column, and an inf in its place is still the infs-or-NaNs error
+        sel = orthocomp.RowSelection((1, 4))
+        factors = [lambda X: householder_qr(X, policy)]
+        if policy is STANDARD:
+            factors += [lambda X: orthocomp.qr_for_selection(X, sel),
+                        lambda X: fit_least_squares(X, np.ones(len(X)))]
+        for factor in factors:
+            X = np.random.default_rng(7).standard_normal((_rows(3, side), 2))
+            X[:4, 1] = [1.7e308, -1.7e308, 1e308, 0.0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="column 2 is finite, but its norm exceeds"):
+                    factor(X)
+            X[2, 1] = np.inf
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                factor(X)
+
+    @pytest.mark.parametrize("side", ["at", "above"])
     def test_zero_tail_in_the_bordered_fit(self, side):
         # both of X's tails are zero, so tau = 0 and the fix-up negates z as well
         n = _rows(3, side)  # [X | Y] has 3 columns

@@ -483,21 +483,24 @@ class TestMeanOfTheInput:
             with pytest.raises(ValueError, match="Y is finite, but its fit exceeds the float"):
                 self.CALLS[call](np.array(y))
 
-    @pytest.mark.parametrize("call", ["student_w", "univariate_w"])
+    @pytest.mark.parametrize("call", [*CALLS, "fit_least_squares"])
     def test_near_the_largest_float_finite_or_float_range_error(self, call):
-        # every pattern of +-1.7e308, +-1e308 and 0 in 4 entries: finite outputs or the
-        # float-range error, and never a warning
-        values = [1.7e308, -1.7e308, 1e308, -1e308, 0.0]
+        # every pattern of +-1.7e308, +-1e308, +-1e160 and 0 in 4 entries: finite outputs or
+        # the float-range error, and never a warning; a constant predictor is the one other error
+        values = [1.7e308, -1.7e308, 1e308, -1e308, 1e160, -1e160, 0.0]
+        calls = {**self.CALLS, "fit_least_squares": lambda y: fit_least_squares(np.ones((4, 1)), y)}
         for y in itertools.product(values, repeat=4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    res = self.CALLS[call](np.array(y))
+                    res = calls[call](np.array(y))
                 except ValueError as exc:
-                    assert "exceeds the float range" in str(exc), y
+                    constant = call == "standardize_predictor" and len(set(y)) == 1
+                    assert ("constant" if constant else "exceeds the float range") in str(exc), y
                     continue
             for f in dataclasses.fields(res):
-                assert np.isfinite(getattr(res, f.name)).all(), (y, f.name)
+                if f.name != "qr":
+                    assert np.isfinite(getattr(res, f.name)).all(), (y, f.name)
 
     def test_shift_near_the_largest_float(self):
         # sqrt(n) shift = 2.25e308 overflows, though RANK_TOL sqrt(n) shift does not
@@ -511,7 +514,79 @@ class TestMeanOfTheInput:
     def test_finite_sum_keeps_the_quotient(self):
         y = 3.0 + np.random.default_rng(31).standard_normal(50)
         assert standardize_predictor(y).shift == float(y.sum() / y.size)
-        assert regression._with_mean(y, float) == float(y.sum() / y.size)
+
+
+class TestPowerOfTwoScaling:
+    """Every output is linear in the input (t does not depend on its scale), so at 2^k times
+    the input each output is 2^k times the output at k = 0 (rss 2^2k), bit for bit, or the
+    float-range error exactly where that product is not a float."""
+
+    # the power of 2^k by which each output scales; the fit's X and qr do not move
+    DEGREE = {"beta_hat": 1, "residuals": 1, "rss": 2, "W": 1, "v": 1, "beta_star": 1,
+              "shift": 1, "scale": 1, "t": 0, "X": 0}
+
+    @staticmethod
+    def calls():
+        rng = np.random.default_rng(42)
+        X = np.column_stack([np.ones(16), rng.standard_normal((16, 2))])
+        tall = np.column_stack([np.ones(2000), rng.standard_normal((2000, 3))])  # dgeqrt's side
+        t = standardize_predictor(rng.standard_normal(16))
+        return {
+            "fit_least_squares": (lambda y: fit_least_squares(X, y), X @ [1.0, 2.0, -1.0]
+                                  + rng.standard_normal(16)),
+            "fit_least_squares_tall": (lambda y: fit_least_squares(tall, y),
+                                       rng.standard_normal(2000)),
+            "student_w": (student_w, 3.0 + rng.standard_normal(16)),
+            "univariate_w": (lambda y: univariate_w(t, y), 1.0 + 2.0 * t.t
+                             + rng.standard_normal(16)),
+            "standardize_predictor": (standardize_predictor, 5.0 + 2.0 * rng.standard_normal(16)),
+        }
+
+    @pytest.mark.parametrize("k", [-1000, -700, -540, 540, 900, 1000])
+    @pytest.mark.parametrize("call", ["fit_least_squares", "fit_least_squares_tall", "student_w",
+                                      "univariate_w", "standardize_predictor"])
+    def test_outputs_scale_by_a_power_of_two(self, call, k):
+        f, y = self.calls()[call]
+        big = np.ldexp(y, k)
+        assert np.array_equal(np.ldexp(big, -k), y)  # the input itself scales exactly
+        base = f(y)
+        expected = {}
+        with np.errstate(over="ignore", under="ignore"):
+            for name, value in vars(base).items():
+                if name != "qr":
+                    expected[name] = np.ldexp(value, self.DEGREE[name] * k)
+        overflows = [name for name, value in expected.items() if not np.isfinite(value).all()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflows:  # the error names one of them
+                named = rf"exceeds the float range \(({'|'.join(overflows)})\)"
+                with pytest.raises(ValueError, match=named):
+                    f(big)
+                return
+            got = f(big)
+        for name, value in expected.items():
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(value).tobytes(), name
+        if call.startswith("fit"):
+            for field in ("packed", "tau", "T", "col_norms"):
+                assert getattr(got.qr, field).tobytes() == getattr(base.qr, field).tobytes()
+
+    def test_rss_past_the_float_range_is_named(self):
+        # beta_hat and R are floats, but rss is not: 8.75e320 and 1e616
+        for y in ([1e160, -1e160, 2e160, 3e160], [1e308, 1e308, 0.0, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"exceeds the float range \(rss\)"):
+                    fit_least_squares(np.ones((4, 1)), y)
+
+    def test_residual_past_the_largest_float_in_the_middle(self):
+        # R_1 = Y_1 - mean is -3.35e308, but W, v and beta_star are floats
+        y = np.array([-1.7e308] + 99 * [1.68e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = student_w(y)
+        quarter = student_w(y / 4)
+        for name in ("W", "v", "beta_star"):
+            assert getattr(got, name).tobytes() == np.ldexp(getattr(quarter, name), 2).tobytes()
 
 
 class TestResultRecords:
