@@ -49,7 +49,7 @@ dgesv, dgetrs, dtrtrs = _lapack.dgesv, _lapack.dgetrs, _lapack.dtrtrs  # orthoco
 RANK_TOL = 1e-12
 # |v_k| vs the pivot tail norm: an exact cancellation, H_k = I (householder_qr's loop)
 CANCEL_TOL = 1e-12
-# a pivot, singular value or det factor vs its scale (_border, _svd_rank, univariate_coefficients)
+# a pivot, singular value or det factor vs its scale (_recursion, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
 # |cos(x_k, v)|, and a Gram error (orthocomplement_apply, fit_least_squares, s_from_c)
 ORTHO_TOL = 1e-8

@@ -29,7 +29,7 @@ class RowSelection:
     indices: tuple[int, ...]
 
     def __init__(self, indices):
-        if bool in map(type, indices):  # operator.index would take True as 1
+        if bool in map(type, indices := tuple(indices)):  # operator.index takes True as 1
             raise TypeError("row indices must be integers, not bools")
         idx = tuple(map(operator.index, indices))
         if idx and min(idx) < 0:
@@ -61,6 +61,8 @@ def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
     """The p selected rows of an n-row array, checked against p and n: a slice
     for ``None`` or the first p rows, else an index array."""
     if sel is None:
+        if p > n:
+            raise ValueError(f"need p <= n, got {n}x{p}")
         return slice(0, p)
     idx = sel.indices
     if len(idx) != p:
@@ -99,22 +101,29 @@ class SProjector:
     design: np.ndarray
 
 
-def _border(S: np.ndarray, M: np.ndarray, k: int,
-            diagonal: float) -> tuple[np.ndarray, bool]:
-    """Grow S, the (generalized) inverse of the leading k x k block of D - M
-    (D diagonal, D_{k+1,k+1} = ``diagonal``), by one row and column.
+def _recursion(M: np.ndarray, greedy: bool) -> tuple[np.ndarray, int, np.ndarray]:
+    """S, its rank and the diagonal d (+-1) for the p x p block M: S is the
+    (generalized) inverse of D - M, D = diag(d), grown one row and column a step.
 
-    Returns the grown matrix and whether its pivot (Schur complement) is
-    nonzero; a pivot below SINGULAR_TOL pads S with zeros."""
-    Scol = S @ M[:k, k]
-    rowS = M[k, :k] @ S
-    pivot = diagonal - M[k, k] - float(M[k, :k] @ Scol)
-    grown = np.zeros((k + 1, k + 1))
-    grown[:k, :k] = S
-    if abs(pivot) < SINGULAR_TOL:
-        return grown, False
-    grown += np.outer(np.append(Scol, 1.0), np.append(rowS, 1.0)) / pivot
-    return grown, True
+    Step k's pivot (Schur complement) is d_k - M_kk - M_k,:k S M_:k,k.  d is all ones,
+    or with ``greedy`` the sign that keeps the pivot furthest from zero.  A pivot below
+    SINGULAR_TOL pads S with zeros and leaves the rank where it was."""
+    p = M.shape[0]
+    S, rank, d = np.zeros((0, 0)), 0, np.ones(p)
+    for k in range(p):
+        Scol = S @ M[:k, k]
+        cross = float(M[k, :k] @ Scol)
+        if greedy:  # the pivot is d_k + base
+            base = -M[k, k] - cross
+            d[k] = 1.0 if abs(1.0 + base) >= abs(-1.0 + base) else -1.0
+        pivot = d[k] - M[k, k] - cross
+        grown = np.zeros((k + 1, k + 1))
+        grown[:k, :k] = S
+        if not abs(pivot) < SINGULAR_TOL:  # a NaN pivot fails the test and grows S
+            grown += np.outer(np.append(Scol, 1.0), np.append(M[k, :k] @ S, 1.0)) / pivot
+            rank += 1
+        S = grown
+    return S, rank, d
 
 
 def _solve(A: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
@@ -135,14 +144,17 @@ def _svd_rank(M: np.ndarray) -> int:
     return int(np.sum(sv > SINGULAR_TOL * sv[0]))
 
 
-def _normalizer(C, p: int) -> np.ndarray:
-    """C as a finite p x p matrix: an inf in C can leave dgesv's result finite."""
+def _c_step(C, X: np.ndarray, sel: RowSelection | None = None, head: bool = False) -> tuple:
+    """C, checked as a finite p x p matrix, with (B C^-1)^T and the LU factors and pivots
+    of C^T, for B = X or, with ``head``, its selected p rows.  C is checked before the
+    solve: an inf in C can leave dgesv's result finite."""
+    n, p = X.shape
     C = as_matrix(C)
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
     if not _every(np.isfinite(C)):
         raise ValueError("array must not contain infs or NaNs")
-    return C
+    return C, *_solve(C.T, (X[_rows(sel, p, n)] if head else X).T, "C")
 
 
 def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
@@ -185,25 +197,18 @@ def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
 def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     """S for a general normalizer C with X C^-1 orthonormal.
 
-    Equals (C - X^(p))^-1 when that matrix is invertible; otherwise a
-    generalized inverse of the same rank.  S is C^-1 times the S of X C^-1,
-    built by a rank-one-update recursion: step k+1 adds a rank-one term iff
-    the pivot 1 - x_{k+1,k+1} - x_{k+1,1:k} S_k x_{k+1}^(k) is nonzero
-    (equivalently the step-(k+1) reflector is nonzero); otherwise S is
-    padded with zeros and the rank stays put.
+    Equals (C - X^(p))^-1 when that matrix is invertible; otherwise a generalized
+    inverse of the same rank.  S is C^-1 times the S of X C^-1, built by a rank-one-update
+    recursion whose step k adds a rank-one term iff its pivot is nonzero (equivalently
+    reflector k is nonzero); otherwise S is padded with zeros and the rank stays put.
     """
     X = as_matrix(X, owned=True)
     n, p = X.shape
-    C = _normalizer(C, p)
-    Qt, lu, piv = _solve(C.T, X.T, "C")  # Q^T = (X C^-1)^T, and the LU of C^T
+    C, Qt, lu, piv = _c_step(C, X)  # Q^T = (X C^-1)^T, and the LU of C^T
     err = float(np.max(np.abs(Qt @ Qt.T - _identity(p))))  # Q's Gram error
     if not err < ORTHO_TOL:  # a NaN fails too
         raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
-    head = Qt.T[_rows(sel, p, n)]
-    S, rank = np.zeros((0, 0)), 0
-    for k in range(p):
-        S, grew = _border(S, head, k, 1.0)
-        rank += grew
+    S, rank, _ = _recursion(Qt.T[_rows(sel, p, n)], greedy=False)
     S = dgetrs(lu, piv, S, trans=1)[0]  # C^-1 S from the same LU
     return SProjector(S=S, rank=rank, design=X,
                       col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
@@ -212,24 +217,13 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
 def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     """Diagonal of +-1 entries making D C - X^(p) non-singular.
 
-    Greedy per-step choice keeping the growing principal block of
-    D - X^(p) C^-1 invertible, with the block-inversion pivot maintained
-    incrementally; O(p^3) total.  Every pivot is then d_k + base with
-    |d_k + base| = 1 + |base| >= 1, so D C - X^(p) = (D - X^(p) C^-1) C is
-    singular only when C is, which raises SingularMatrixError.
+    s_from_c's recursion on X^(p) C^-1 with each d_k chosen greedily, so that every
+    pivot is d_k + base with |d_k + base| = 1 + |base| >= 1; O(p^3) total.  Then
+    D C - X^(p) = (D - X^(p) C^-1) C is singular only when C is, which raises
+    SingularMatrixError.
     """
-    X = as_matrix(X)
-    n, p = X.shape
-    M = _solve(_normalizer(C, p).T, X[_rows(sel, p, n)].T, "C")[0].T  # X^(p) C^-1
-
-    d = np.zeros(p)
-    Ainv = np.zeros((0, 0))
-    for k in range(p):
-        # the pivot is d_k + base; pick the sign that keeps it away from zero
-        base = -M[k, k] - float(M[k, :k] @ (Ainv @ M[:k, k]))
-        d[k] = 1.0 if abs(1.0 + base) >= abs(-1.0 + base) else -1.0
-        Ainv, _ = _border(Ainv, M, k, d[k])
-    return d
+    Mt = _c_step(C, as_matrix(X), sel, head=True)[1]  # (X^(p) C^-1)^T
+    return _recursion(Mt.T, greedy=True)[2]
 
 
 def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None) -> np.ndarray:

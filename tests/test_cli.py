@@ -387,6 +387,13 @@ class TestIndep:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    def test_more_columns_than_rows(self, tmp_path, capsys):
+        # p = 3 predictors on 2 rows: the selection check says so before the fit's "p < n"
+        path = write_csv(tmp_path / "g.csv", [[1.0, 2.0, 3.0, 4.0], [1.0, 0.5, -1.0, 2.0]])
+        assert main(["indep", path, "--mode", "general"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need p <= n, got 2x3" in captured.err
+
     def test_scattered_selection_matches_the_library(self, tmp_path, capsys):
         # the library route: fit X as given, factor X with the selected rows first
         data = np.random.default_rng(4).standard_normal((40, 5))

@@ -132,6 +132,12 @@ class TestRowSelection:
                 mask[0] = False
         assert sel == RowSelection((1, 4))  # the kept mask is not a field
 
+    def test_generator_and_range(self):
+        # a generator is read once: the bool scan must not use it up first
+        assert RowSelection(i for i in (1, 2)).indices == (1, 2)
+        assert RowSelection(range(3)).indices == (0, 1, 2)
+        assert RowSelection(i for i in (1, 2)) == RowSelection((1, 2))
+
     @pytest.mark.parametrize("n,rows", SELECTIONS + [(3, (0, 1, 2)), (6, (5,))])
     def test_permutation_matches_listed_order(self, n, rows):
         perm = RowSelection(rows).permutation(n)
@@ -381,6 +387,10 @@ class TestSignFix:
     def test_c_of_another_size(self, C):
         with pytest.raises(ValueError, match="C must be 2x2"):
             sign_fix(C, np.ones((5, 2)))
+
+    def test_more_columns_than_rows(self):
+        with pytest.raises(ValueError, match=r"need p <= n, got 2x3"):
+            sign_fix(np.eye(3), np.ones((2, 3)))
 
     def test_mixed_diagonal(self):
         d = sign_fix(np.eye(2), self.embed(np.diag([1.0, -1.0])))

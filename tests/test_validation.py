@@ -66,6 +66,10 @@ class TestTheorem7:
         with pytest.raises(ValueError, match="S must be 3x3"):
             verify_theorem7_condition(S, self.orthonormal(20, 3, 1))
 
+    def test_more_columns_than_rows(self):
+        with pytest.raises(ValueError, match=r"need p <= n, got 2x3"):
+            verify_theorem7_condition(np.eye(3), np.ones((2, 3)))
+
 
 class TestChengMatrix:
     def test_n2(self):
