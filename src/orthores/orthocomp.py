@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _every, _factor, _identity, _norm,
-                   _record, as_matrix, as_vector, dgesv, dgetrs, dtrtrs, householder_qr)
+                   _orthogonality_error, _record, as_matrix, as_vector, dgesv, dgetrs, dtrtrs,
+                   householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -36,30 +37,28 @@ class RowSelection:
             raise ValueError("row indices must be non-negative")
         if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError("row indices must be strictly increasing")
-        self.__dict__.update(indices=idx, _index_array=np.array(idx, dtype=np.intp), _mask=None)
-        self._index_array.flags.writeable = False  # built once per selection, and shared
+        self.__dict__.update(indices=idx, _kept=None)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Row order putting the selected rows first, the rest in increasing order."""
-        idx = _rows(self, len(self.indices), n)
-        if isinstance(idx, slice):  # the first rows already lead
-            return np.arange(n)
-        return np.concatenate([idx, self._unselected(n).nonzero()[0]])
+        """Read-only row order putting the selected rows first, the rest in increasing order."""
+        _rows(self, len(self.indices), n)
+        return self._order(n)
 
-    def _unselected(self, n: int) -> np.ndarray:
-        """Read-only mask of the n rows outside the selection, kept for the last n."""
-        mask = self._mask  # read once: another thread may store the mask of another n
-        if mask is None or mask.size != n:
-            mask = np.ones(n, dtype=bool)
-            mask[self._index_array] = False
-            mask.flags.writeable = False
-            self.__dict__["_mask"] = mask
-        return mask
+    def _order(self, n: int) -> np.ndarray:
+        """The row order of permutation(n), built once and kept for the last n."""
+        order = self._kept  # read once: another thread may store the order of another n
+        if order is None or order.size != n:
+            head, rest = np.array(self.indices, dtype=np.intp), np.ones(n, dtype=bool)
+            rest[head] = False
+            order = np.concatenate((head, rest.nonzero()[0]))
+            order.flags.writeable = False
+            self.__dict__["_kept"] = order
+        return order
 
 
 def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
     """The p selected rows of an n-row array, checked against p and n: a slice
-    for ``None`` or the first p rows, else an index array."""
+    for ``None`` or the first p rows, else the head of the selection's row order."""
     if sel is None:
         if p > n:
             raise ValueError(f"need p <= n, got {n}x{p}")
@@ -72,33 +71,44 @@ def _rows(sel: RowSelection | None, p: int, n: int) -> slice | np.ndarray:
         raise ValueError(f"row index {last} out of range for n={n}")
     if last == p - 1:  # increasing indices, so rows 0..p-1
         return slice(0, p)
-    return sel._index_array
+    return sel._order(n)[:p]
 
 
 def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | None,
              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """v = S x^(p) and x_(p) + X_(p) v, written to ``out`` if given, for a vector
     or an n x m block x, without permuting or gathering the n rows of X."""
-    p = S.shape[0]
-    idx = _rows(sel, p, X.shape[0])
+    n, p = X.shape[0], S.shape[0]
+    idx = _rows(sel, p, n)
     v = S.dot(x[idx])  # fancy indexing gathers faster than take; dot: see fit_least_squares
     if isinstance(idx, slice):  # the first p rows: views suffice
         W = np.matmul(X[p:], v, out=out)  # not dot: its bits differ on a column-major X[p:]
         W += x[p:]  # in place, bit for bit, since a fresh n-row array page-faults again
         return v, W
-    return v, (x + X.dot(v)).compress(sel._unselected(X.shape[0]), 0, out)  # axis 0
+    return v, (x + X.dot(v)).take(sel._order(n)[p:], 0, out)  # axis 0
 
 
 @dataclass(frozen=True)
 class SProjector:
     """S with its rank, the norms ||x_k|| of the columns of the X it was built
-    from, and ``design``: the projector's own column-major copy of that X, made
-    by the builder, on which orthocomplement_apply runs."""
+    from, ``design``: the projector's own column-major copy of that X, made
+    by the builder, on which orthocomplement_apply runs, and ``sel``: the row
+    selection it was built for (``None``: the first p rows)."""
 
     S: np.ndarray
     rank: int
     col_norms: np.ndarray
     design: np.ndarray
+    sel: RowSelection | None = None
+
+    def _selection(self, sel: RowSelection | None) -> RowSelection | None:
+        """The projector's own selection, for ``sel`` None or one that picks the same rows
+        (``None`` and an explicit 0..p-1 both pick the first p); another raises ValueError."""
+        own = self.sel
+        if sel is not None and sel is not own and sel.indices != (
+                tuple(range(self.S.shape[0])) if own is None else own.indices):
+            raise ValueError("projector was built for another row selection")
+        return own
 
 
 def _recursion(M: np.ndarray, greedy: bool) -> tuple[np.ndarray, int, np.ndarray]:
@@ -161,11 +171,10 @@ def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
     """Standard-sign factorization of X with the selected rows permuted to the front."""
     X = as_matrix(X)
     n, p = X.shape
-    if isinstance(idx := _rows(sel, p, n), slice):
+    if isinstance(_rows(sel, p, n), slice):
         return householder_qr(X)
-    perm = np.concatenate((idx, sel._unselected(n).nonzero()[0]))  # as sel.permutation(n)
     # p selected rows below n, so p <= n; two copies beat one take into Fortran order (ROADMAP)
-    return _factor(np.asfortranarray(X.take(perm, 0)), p, X)[0]
+    return _factor(np.asfortranarray(X.take(sel._order(n), 0)), p, X)[0]
 
 
 def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProjector:
@@ -185,7 +194,7 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     head = X[rows]  # on a column-major X, take would first copy X to row-major
     S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]
-    return _record(SProjector, S=S, rank=p, col_norms=qr.col_norms, design=X)
+    return _record(SProjector, S=S, rank=p, col_norms=qr.col_norms, design=X, sel=sel)
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
@@ -210,7 +219,7 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
         raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
     S, rank, _ = _recursion(Qt.T[_rows(sel, p, n)], greedy=False)
     S = dgetrs(lu, piv, S, trans=1)[0]  # C^-1 S from the same LU
-    return SProjector(S=S, rank=rank, design=X,
+    return SProjector(S=S, rank=rank, design=X, sel=sel,
                       col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
 
 
@@ -227,7 +236,8 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
 
 
 def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None) -> np.ndarray:
-    """Evaluate x_(p) + X_(p) S x^(p) for x perpendicular to col(X).
+    """Evaluate x_(p) + X_(p) S x^(p) for x perpendicular to col(X), on the rows of
+    ``sp.sel``; a ``sel`` that picks other rows raises ValueError.
 
     The check and the formula run on ``sp.design``, the projector's own
     column-major copy of X, so ``X`` is checked only for its shape."""
@@ -238,10 +248,10 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
         raise ValueError("projector size does not match X")
     if x.size != n:
         raise ValueError(f"vector length {x.size} != n = {n}")
+    sel = sp._selection(sel)
     # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
-    err = np.abs(design.T @ x) / sp.col_norms
-    if not _every(err <= ORTHO_TOL * _norm(x)):  # a NaN fails too
-        raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {np.max(err):.3e})")
+    if (err := _orthogonality_error(design, sp.col_norms.tolist(), x, _norm(x))) is not None:
+        raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {err:.3e})")
     return _apply_s(sp.S, design, x, sel)[1]
 
 

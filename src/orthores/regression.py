@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every,
-                   _factor, _norm, _record, as_matrix, as_vector, dtrtrs)
+from .core import (RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor, _norm,
+                   _orthogonality_error, _record, as_matrix, as_vector, dtrtrs)
 from .orthocomp import RowSelection, SProjector, _apply_s
 
 
@@ -71,10 +71,11 @@ def fit_least_squares(X, Y) -> RegressionFit:
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
+    if any(map(math.isinf, beta.tolist())):  # a NaN is the normal-equation check's to catch
+        raise ValueError("Y is finite, but its fit exceeds the float range (beta_hat)")
     R = Y - X.dot(beta)  # dot: matmul's BLAS call and bits, less its per-call dispatch
-    g, nrm = X.T.dot(R), qr.col_norms  # |x_k^T R| / ||x_k||, in Python floats; a NaN fails too
-    if not all(abs(d) / c <= ORTHO_TOL * y_norm for d, c in zip(g.tolist(), nrm.tolist())):
-        raise ArithmeticError(f"normal-equation residual too large: {np.max(np.abs(g) / nrm):.3e}")
+    if (err := _orthogonality_error(X, qr.col_norms.tolist(), R, y_norm)) is not None:
+        raise ArithmeticError(f"normal-equation residual too large: {err:.3e}")
     return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr)
 
 
@@ -109,11 +110,11 @@ def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray
 
 def independent_residuals(fit: RegressionFit, sp: SProjector,
                           sel: RowSelection | None = None) -> IndependentResiduals:
-    """W = R_(p) + X_(p) v with v = S R^(p), for a projector built from
-    the same X and row selection."""
+    """W = R_(p) + X_(p) v with v = S R^(p), for a projector built from the same X, on the
+    rows of ``sp.sel``; a ``sel`` that picks other rows raises ValueError."""
     if sp.S.shape[0] != fit.X.shape[1]:
         raise ValueError("projector size does not match the fit")
-    return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, sel)
+    return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, sp._selection(sel))
 
 
 def student_coefficient(n: int, variant: str) -> np.ndarray:

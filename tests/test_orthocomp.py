@@ -113,11 +113,14 @@ class TestRowSelection:
             W, orthocomplement_apply(s_from_qr(qr_for_selection(X, ref), X, ref), X, z, ref))
 
     def test_reused_at_two_sizes(self):
-        # the selection keeps the mask of the last n it saw; another n must rebuild it
+        # the selection keeps the row order of the last n it saw; another n must rebuild it
         sel = RowSelection((1, 4))
         rng = np.random.default_rng(16)
+        kept = None
         for n in (6, 9, 6):
-            np.testing.assert_array_equal(sel.permutation(n), listed_permutation(n, (1, 4)))
+            order = sel.permutation(n)
+            assert order is not kept  # rebuilt for the new n
+            np.testing.assert_array_equal(order, listed_permutation(n, (1, 4)))
             X = rng.standard_normal((n, 2))
             x = random_orthocomplement_vector(X, rng)
             sp = s_from_qr(qr_for_selection(X, sel), X, sel)
@@ -125,12 +128,12 @@ class TestRowSelection:
             W = orthocomplement_apply(sp, X, x, sel)
             np.testing.assert_array_equal(W, orthocomplement_apply(sp, X, x, fresh))
             np.testing.assert_allclose(W, permuted_apply(sp.S, X, x, (1, 4)), rtol=0, atol=1e-12)
-            mask = sel._unselected(n)
-            assert mask.tolist() == [i not in (1, 4) for i in range(n)]
-            assert not mask.flags.writeable
+            kept = sel.permutation(n)
+            assert kept is order  # one order serves the factorization, S and the kernel
+            assert not kept.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                mask[0] = False
-        assert sel == RowSelection((1, 4))  # the kept mask is not a field
+                kept[0] = 0
+        assert sel == RowSelection((1, 4))  # the kept order is not a field
 
     def test_generator_and_range(self):
         # a generator is read once: the bool scan must not use it up first

@@ -14,6 +14,7 @@ from orthores import (
     TO_POSITIVE,
     RankDeficiencyError,
     RowSelection,
+    SProjector,
     apply_Qt,
     explicit_orthocomplement_basis,
     fit_least_squares,
@@ -369,6 +370,38 @@ class TestIndependentResiduals:
         with pytest.raises(ValueError):
             independent_residuals(fit, sp, RowSelection((1, 5, 12)))
 
+    def test_projector_keeps_its_selection(self):
+        # built for rows (1, 4, 7) and applied with no selection: the first p rows were used,
+        # which gave ||W|| = 2.12 for ||x|| = 1.81 and W'W = 4.50 for rss = 3.27
+        rng = np.random.default_rng(0)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        fit, sel = fit_least_squares(X, Y), RowSelection((1, 4, 7))
+        sp = s_from_qr(qr_for_selection(X, sel), X, sel)
+        first = s_from_qr(householder_qr(X), X)
+        x = fit.residuals  # perpendicular to col(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sp.sel is sel and first.sel is None
+            W = orthocomplement_apply(sp, X, x, sel)
+            for same in (None, RowSelection((1, 4, 7))):
+                assert orthocomplement_apply(sp, X, x, same).tobytes() == W.tobytes()
+                assert independent_residuals(fit, sp, same).W.tobytes() == W.tobytes()
+            assert abs(W @ W - fit.rss) <= 1e-12 * fit.rss
+            # None and an explicit 0..p-1 both pick the first p rows
+            W1 = orthocomplement_apply(first, X, x)
+            explicit = orthocomplement_apply(first, X, x, RowSelection(range(3)))
+            assert explicit.tobytes() == W1.tobytes()
+            for sp_, other in ((sp, RowSelection(range(3))), (sp, RowSelection((1, 4, 8))),
+                               (first, sel)):
+                with pytest.raises(ValueError, match="built for another row selection"):
+                    orthocomplement_apply(sp_, X, x, other)
+                with pytest.raises(ValueError, match="built for another row selection"):
+                    independent_residuals(fit, sp_, other)
+            # a projector made directly has no selection of its own: the first p rows
+            direct = SProjector(S=first.S, rank=3, col_norms=first.col_norms, design=first.design)
+            assert direct.sel is None
+            assert orthocomplement_apply(direct, X, x).tobytes() == W1.tobytes()
+
     def test_matches_orthocomplement_apply(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((25, 3))
@@ -577,6 +610,40 @@ class TestPowerOfTwoScaling:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=r"exceeds the float range \(rss\)"):
                     fit_least_squares(np.ones((4, 1)), y)
+
+    @staticmethod
+    def design_near_the_limits():
+        """11 x 3 draws X0, Y0 and an x0 perpendicular to col(X0) (seed 3)."""
+        rng = np.random.default_rng(3)
+        X0, Y0 = rng.standard_normal((11, 3)), rng.standard_normal(11)
+        return X0, Y0, fit_least_squares(X0, rng.standard_normal(11)).residuals
+
+    def test_beta_hat_past_the_float_range_is_named(self):
+        # beta_hat is about 1e400: the fit raised the NaN normal-equation error here
+        X0, Y0, _ = self.design_near_the_limits()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"exceeds the float range \(beta_hat\)"):
+                fit_least_squares(1e-300 * X0, 1e100 * Y0)
+
+    def test_orthogonality_guards_do_not_overflow(self):
+        # ||x_k|| ||v|| is about 1e400, so X^T v overflowed in both guards: the fit raised
+        # a NaN normal-equation error and the apply rejected a valid x
+        X0, Y0, x0 = self.design_near_the_limits()
+        X = 1e300 * X0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_least_squares(X, 1e100 * Y0)
+            W = orthocomplement_apply(s_from_qr(householder_qr(X), X), X, 1e100 * x0)
+        base = fit_least_squares(X0, Y0)
+        np.testing.assert_allclose(fit.beta_hat, 1e-200 * base.beta_hat, rtol=1e-12)
+        np.testing.assert_allclose(fit.rss, 1e200 * base.rss, rtol=1e-12)
+        W0 = orthocomplement_apply(s_from_qr(householder_qr(X0), X0), X0, x0)
+        np.testing.assert_allclose(W, 1e100 * W0, rtol=1e-12)
+        assert abs(np.linalg.norm(W) / np.linalg.norm(1e100 * x0) - 1.0) <= 1e-12
+        bad = 1e100 * (x0 + 1e-3 * np.linalg.norm(x0) * X0[:, 0] / np.linalg.norm(X0[:, 0]))
+        with pytest.raises(ValueError, match="not orthogonal"):  # and still checked
+            orthocomplement_apply(s_from_qr(householder_qr(X), X), X, bad)
 
     def test_residual_past_the_largest_float_in_the_middle(self):
         # R_1 = Y_1 - mean is -3.35e308, but W, v and beta_star are floats
