@@ -201,8 +201,8 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         return _factor(A, p, X)[0]
     with np.errstate(over="ignore"):  # an inf norm is _check_finite's to report
         col_norms = np.hypot.reduce(A, axis=0)  # ||x_k||, with no overflow near 1e200
-    tau = np.zeros(p)
-    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, _check_finite(col_norms, A))):
+    norms, tau = _check_finite(col_norms.tolist(), A), np.zeros(p)
+    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, norms)):
         # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
         a, t, _ = dgeqrfp(-d * A[k:, k:k + 1])
         _check_column(k, a[0, 0], col_norm)  # a[0, 0] is the pivot tail norm, taken by dnrm2
@@ -214,15 +214,15 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     return HouseholderQR(n=n, p=p, packed=A, tau=tau, T=np.triu(A[:p]), col_norms=col_norms)
 
 
-def _check_finite(col_norms: np.ndarray, X) -> list[float]:
-    """The finiteness gate of every factorization: all column norms of X, before any rank test.
-    X's entries are read on failure only, to tell an inf or NaN from a norm past the float range."""
-    if not all(map(math.isfinite, norms := col_norms.tolist())):
+def _check_finite(norms: list[float], X, message: str = "column {} is finite, but its norm "
+                  "exceeds the float range in the factorization") -> list[float]:
+    """The finiteness gate of every factorization, on all column norms of X before any rank
+    test, and of the apply, on ||x||.  X's entries are read on failure only, to tell an inf or
+    NaN from a norm past the float range, which raises ``message`` with the column's number."""
+    if not all(map(math.isfinite, norms)):
         if not _every(np.isfinite(np.asarray(X, dtype=np.float64))):
             raise ValueError("array must not contain infs or NaNs")
-        k = list(map(math.isfinite, norms)).index(False)
-        raise ValueError(f"column {k + 1} is finite, but its norm exceeds the float range "
-                         "in the factorization")
+        raise ValueError(message.format(list(map(math.isfinite, norms)).index(False) + 1))
     return norms
 
 
@@ -250,10 +250,10 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _factor(A: np.ndarray, p: int, X) -> tuple[HouseholderQR, np.ndarray]:
+def _factor(A: np.ndarray, p: int, X) -> tuple[HouseholderQR, np.ndarray, list[float]]:
     """The standard-sign QR of the first p columns of A, an n x m Fortran-order
-    array (m >= p) that LAPACK overwrites, and the array itself.  X, for
-    _check_finite, holds what those columns held, in any row order.
+    array (m >= p) that LAPACK overwrites, the array itself and col_norms as
+    Python floats.  X, for _check_finite, holds what those columns held, in any row order.
 
     Up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``, above it by
     ``dgeqrt`` with block size p; both write the same layout, and the top p
@@ -281,13 +281,13 @@ def _factor(A: np.ndarray, p: int, X) -> tuple[HouseholderQR, np.ndarray]:
             tau[k] = 2.0
     T = a[:p, :p].copy()  # C order; below its diagonal a holds the reflectors
     T[_strict_lower(p)] = 0.0
-    col_norms = np.hypot.reduce(T, axis=0)  # ||T e_k|| = ||x_k||; row signs do not move it
-    norms = col_norms.tolist()
-    for k, t in enumerate(T.diagonal().tolist()):  # |T_kk| is the pivot tail norm
-        if not abs(t) > RANK_TOL * norms[k] < math.inf:  # a NaN fails too; the gate comes first
-            _check_column(k, abs(t), _check_finite(col_norms, X)[k])
-    qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=col_norms)
-    return qr, a
+    cols = T.T.tolist()  # T's columns as Python floats: the one read of T
+    norms = [math.hypot(*col) for col in cols]  # ||T e_k|| = ||x_k||; inf past range, no warning
+    for k, col in enumerate(cols):  # |T_kk| is the pivot tail norm
+        if not abs(col[k]) > RANK_TOL * norms[k] < math.inf:  # a NaN fails; the gate comes first
+            _check_column(k, abs(col[k]), _check_finite(norms, X)[k])
+    qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=np.array(norms))
+    return qr, a, norms
 
 
 def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ rank-one-update recursion covers the singular cases.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _every, _factor, _identity, _norm,
-                   _orthogonality_error, _record, as_matrix, as_vector, dgesv, dgetrs, dtrtrs,
-                   householder_qr)
+from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor,
+                   _identity, _norm, _orthogonality_error, _record, as_matrix, as_vector, dgesv,
+                   dgetrs, dtrtrs, householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -249,8 +250,10 @@ def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None)
     if x.size != n:
         raise ValueError(f"vector length {x.size} != n = {n}")
     sel = sp._selection(sel)
+    if not math.isfinite(x_norm := _norm(x)):  # an inf or NaN in x, or ||x|| past the float range
+        _check_finite([x_norm], x, "x is finite, but its norm exceeds the float range")
     # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
-    if (err := _orthogonality_error(design, sp.col_norms.tolist(), x, _norm(x))) is not None:
+    if (err := _orthogonality_error(design, sp.col_norms.tolist(), x, x_norm)) is not None:
         raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {err:.3e})")
     return _apply_s(sp.S, design, x, sel)[1]
 

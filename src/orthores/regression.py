@@ -63,7 +63,7 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A = np.empty((n, p + 1), order="F")
     A[:, :p] = X
     A[:, p] = Y
-    qr, a = _factor(A, p, X)  # its finiteness gate and rank test read X's columns only
+    qr, a, col_norms = _factor(A, p, X)  # its gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
     y_norm = math.hypot(*head.tolist())  # a scale and the band test only: not an output
     if not _BAND[0] <= y_norm * y_norm <= _BAND[1] and Y.any():  # an inf, NaN or overflow too
@@ -74,7 +74,7 @@ def fit_least_squares(X, Y) -> RegressionFit:
     if any(map(math.isinf, beta.tolist())):  # a NaN is the normal-equation check's to catch
         raise ValueError("Y is finite, but its fit exceeds the float range (beta_hat)")
     R = Y - X.dot(beta)  # dot: matmul's BLAS call and bits, less its per-call dispatch
-    if (err := _orthogonality_error(X, qr.col_norms.tolist(), R, y_norm)) is not None:
+    if (err := _orthogonality_error(X, col_norms, R, y_norm)) is not None:
         raise ArithmeticError(f"normal-equation residual too large: {err:.3e}")
     return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr)
 
@@ -88,7 +88,7 @@ _BAND = (2.0 ** -1000, 2.0 ** 1000)
 def _rescaled(call, v: np.ndarray, what: str = "Y is finite, but its fit"):
     """call(v 2^-e), e the exponent of max |v|, with its outputs scaled back by 2^e (rss by 2^2e);
     an inf or NaN in v raises ValueError, and so does an output past the float range, named."""
-    (top,) = _check_finite(np.abs(v).max(keepdims=True), v)
+    (top,) = _check_finite([float(np.abs(v).max())], v)
     e = math.frexp(top)[1]
     record = call(np.ldexp(v, -e))
     values = vars(record).copy()

@@ -280,6 +280,18 @@ class TestSizeBound:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 factor(X)
 
+    def test_finite_t_whose_column_norm_overflows(self):
+        # T's entries are floats (+-1.7e308), but ||T e_2|| = 2.4e308 is not: the norm must be
+        # taken with no overflow warning, so that the gate names the column
+        X = np.array([[1.0, 1.7e308], [0.0, 0.0], [0.0, 0.0], [0.0, 1.7e308]])
+        sel = orthocomp.RowSelection((1, 3))
+        for factor in [householder_qr, lambda X: orthocomp.qr_for_selection(X, sel),
+                       lambda X: fit_least_squares(X, [1.0, 2.0, 3.0, 4.0])]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="column 2 is finite, but its norm exceeds"):
+                    factor(X)
+
     @pytest.mark.parametrize("side", ["at", "above"])
     @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE, SignPolicy.custom([1, -1])],
                              ids=["standard", "to-positive", "custom"])

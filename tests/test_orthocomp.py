@@ -14,7 +14,9 @@ from orthores import (
     SProjector,
     apply_Qt,
     explicit_orthocomplement_basis,
+    fit_least_squares,
     householder_qr,
+    independent_residuals,
     orthocomplement_apply,
     qr_for_selection,
     rank_count,
@@ -536,6 +538,22 @@ class TestOrthocomplementApply:
                 orthocomplement_apply(sp, X, scale * bad)
         np.testing.assert_allclose(out, scale * orthocomplement_apply(sp, X, x), rtol=1e-13)
 
+    @pytest.mark.parametrize("entries,message", [
+        ((np.inf, 0.0), "infs or NaNs"), ((-np.inf, 0.0), "infs or NaNs"),
+        ((np.nan, 0.0), "infs or NaNs"),
+        ((1.7e308, 1.7e308), "x is finite, but its norm exceeds the float range"),
+    ])
+    def test_non_finite_x(self, entries, message):
+        # an inf in x makes ||x|| and so the guard's bound inf: the guard alone lets it through
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        sp = s_from_qr(householder_qr(X), X)
+        x = np.zeros(10)
+        x[3:5] = entries  # rows outside the first p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                orthocomplement_apply(sp, X, x)
+
     def test_builders_record_column_norms(self):
         rng = np.random.default_rng(13)
         Q = np.linalg.qr(rng.standard_normal((15, 3)))[0]
@@ -689,6 +707,91 @@ class TestSelectionKernel:
         x = random_orthocomplement_vector(X, rng)
         with pytest.raises(ValueError):
             orthocomplement_apply(sp, X, x, RowSelection((1, 5, 12)))
+
+
+def projector_for(X, sel):
+    """The first-p projector of X, built directly with ``sel`` as its selection."""
+    qr = householder_qr(X)
+    return SProjector(S=s_from_qr(qr, X).S, rank=X.shape[1], col_norms=qr.col_norms,
+                      design=np.asfortranarray(X), sel=sel)
+
+
+class TestOutOfRangeSelection:
+    """A selection past the last row reaches the one range check through every layer."""
+
+    X = np.random.default_rng(21).standard_normal((10, 3))
+    SEL = RowSelection((1, 5, 12))
+    CALLS = {
+        "qr_for_selection": qr_for_selection,
+        "s_from_qr": lambda X, sel: s_from_qr(householder_qr(X), X, sel),
+        "s_from_c": lambda X, sel: s_from_c(X, householder_qr(X).T, sel),
+        "sign_fix": lambda X, sel: sign_fix(householder_qr(X).T, X, sel),
+        "orthocomplement_apply": lambda X, sel: orthocomplement_apply(
+            projector_for(X, sel), X, random_orthocomplement_vector(X, np.random.default_rng(22))),
+        "independent_residuals": lambda X, sel: independent_residuals(
+            fit_least_squares(X, np.random.default_rng(23).standard_normal(10)),
+            projector_for(X, sel)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_names_the_row(self, call):
+        with pytest.raises(ValueError, match="row index 12 out of range for n=10"):
+            call(self.X, self.SEL)
+
+
+def reflector_block(qr):
+    """V = [V1; V2], the unit lower reflector block stored in qr.packed."""
+    return np.tril(qr.packed, -1) + np.eye(qr.n, qr.p)
+
+
+def reflector_apply(qr, x):
+    """U2^T x = x_(p) - V2 V1^-1 x^(p) for x perpendicular to col(X).  With Q^T = I - V Tw^T V^T
+    (compact WY), the top p rows of Q^T x are 0, so Tw^T V^T x = V1^-1 x^(p); Tw, singular for a
+    zero reflector, is not inverted."""
+    p, V = qr.p, reflector_block(qr)
+    return x[p:] - V[p:] @ np.linalg.solve(V[:p], x[:p])
+
+
+class TestReflectorForm:
+    """The factorization's own reflectors give the orthocomplement action, under any sign
+    policy and with zero reflectors, and X_(p) S = -V2 V1^-1 under the standard one."""
+
+    @staticmethod
+    def design(seed, zero_first):
+        X = np.random.default_rng(seed).standard_normal((12, 3))
+        if zero_first:  # column 1 = 2 e_1: a zero tail, so reflector 1 is I or -2 e_1 e_1^T
+            X[:, 0] = 0.0
+            X[0, 0] = 2.0
+        return X
+
+    @pytest.mark.parametrize("zero_first", [False, True])
+    @pytest.mark.parametrize("policy", [STANDARD, TO_POSITIVE, SignPolicy.custom((-1, 1, -1))],
+                             ids=["standard", "to-positive", "custom"])
+    def test_matches_the_explicit_basis(self, policy, zero_first):
+        X = self.design(31, zero_first)
+        qr = householder_qr(X, policy)
+        if zero_first:  # standard: H_1 = I - 2 e_1 e_1^T; d_1 = -1 sends 2 e_1 to itself: H_1 = I
+            assert qr.tau[0] == (2.0 if policy is STANDARD else 0.0)
+        U2 = explicit_orthocomplement_basis(qr)
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            x = random_orthocomplement_vector(X, rng)
+            np.testing.assert_allclose(reflector_apply(qr, x), U2.T @ x,
+                                       rtol=0, atol=1e-13 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("zero_first", [False, True])
+    def test_is_the_standard_s(self, zero_first):
+        X = self.design(33, zero_first)
+        qr = householder_qr(X)
+        V = reflector_block(qr)
+        np.testing.assert_allclose(X[3:] @ s_from_qr(qr, X).S, -V[3:] @ np.linalg.inv(V[:3]),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 5, 100])
+    def test_mean_only_coefficient(self, n):
+        # p = 1, X = 1: -V2 V1^-1 is c = -1/(sqrt(n) + 1) in every row
+        qr = householder_qr(np.ones((n, 1)))
+        np.testing.assert_allclose(-qr.packed[1:, 0], -1.0 / (np.sqrt(n) + 1.0), rtol=1e-15)
 
 
 class TestRankCount:
