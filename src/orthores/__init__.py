@@ -30,6 +30,7 @@ from .regression import (
     IndependentResiduals,
     RegressionFit,
     StandardizedPredictor,
+    fit_independent_residuals,
     fit_least_squares,
     independent_residuals,
     standardize_predictor,

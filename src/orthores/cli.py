@@ -19,10 +19,10 @@ import numpy as np
 from . import __version__
 from .core import (IDENTITY_TOL, STANDARD, TO_POSITIVE, RankDeficiencyError, SignPolicy, _norm,
                    householder_qr)
-from .orthocomp import RowSelection, _rows, rank_count, s_from_qr
+from .orthocomp import RowSelection, rank_count
 from .regression import (
+    fit_independent_residuals,
     fit_least_squares,
-    independent_residuals,
     standardize_predictor,
     student_w,
     univariate_w,
@@ -183,28 +183,18 @@ def cmd_indep(args) -> None:
     if args.mode == "student":
         if ncols != 1:
             raise CliError(EXIT_INPUT, f"student mode needs a 1-column file, got {ncols}")
-        X = np.ones((n, 1))
-        construct = lambda fit: student_w(Y, args.variant or "minus")
+        fit, result = fit_least_squares(np.ones((n, 1)), Y), student_w(Y, args.variant or "minus")
     elif args.mode == "univariate":
         if ncols != 2:
             raise CliError(EXIT_INPUT, f"univariate mode needs a 2-column file, got {ncols}")
         t = standardize_predictor(data[:, 0])
-        X = np.column_stack([np.ones(n), t.t])
-        construct = lambda fit: univariate_w(t, Y, args.variant or "b")
+        fit = fit_least_squares(np.column_stack([np.ones(n), t.t]), Y)
+        result = univariate_w(t, Y, args.variant or "b")
     else:
         if ncols < 2:
             raise CliError(EXIT_INPUT, "general mode needs at least 2 columns")
-        # the selected rows first and the rest in increasing order, so that one
-        # factorization serves the fit and S, and W keeps the complement's order
-        sel = parse_selection(args.rows)
-        if not isinstance(_rows(sel, ncols - 1, n), slice):
-            data = data[sel.permutation(n)]
-        X, Y = data[:, :-1], data[:, -1]
-        construct = lambda fit: independent_residuals(fit, s_from_qr(fit.qr, X))
-    fit = fit_least_squares(X, Y)
-    rss = fit.rss
-    result = construct(fit)
-    wss = float(result.W @ result.W)
+        fit, result = fit_independent_residuals(data[:, :-1], Y, parse_selection(args.rows))
+    rss, wss = fit.rss, float(result.W @ result.W)
     # below n eps ||Y||^2 a sum of squares is rounding noise at the data's scale (a response
     # in col(X)), so the identity is held to that floor; in units of ||Y||^2, so none overflows
     unit, floor = _norm(Y), n * sys.float_info.epsilon  # Python floats: no numpy warnings

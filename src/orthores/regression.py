@@ -9,13 +9,14 @@ matrix.  Every path preserves the residual sum of squares: W^T W = R^T R.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor, _norm,
                    _orthogonality_error, _record, as_matrix, as_vector, dtrtrs)
-from .orthocomp import RowSelection, SProjector, _apply_s
+from .orthocomp import RowSelection, SProjector, _apply_s, _rows, s_from_qr
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,20 @@ def independent_residuals(fit: RegressionFit, sp: SProjector,
     return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, sp._selection(sel))
 
 
+def fit_independent_residuals(X, Y, sel: RowSelection | None = None
+                              ) -> tuple[RegressionFit, IndependentResiduals]:
+    """One QR for the fit and W: the fit is of X, Y in sel.permutation's order (selected first)."""
+    X, Y = as_matrix(X), as_vector(Y)  # a Y of another length is left to the fit to reject
+    if Y.size == len(X) and not isinstance(_rows(sel, X.shape[1], Y.size), slice):
+        X, Y = X[sel._order(Y.size)], Y[sel._order(Y.size)]
+    fit = fit_least_squares(X, Y)
+    return fit, _construct(fit.X, fit.beta_hat, fit.residuals, s_from_qr(fit.qr, fit.X).S)
+
+
 def student_coefficient(n: int, variant: str) -> np.ndarray:
     """The 1x1 S of the mean-only case: c = -1/(sqrt(n)+1) ("minus") or
-    c = 1/(sqrt(n)-1) ("plus")."""
-    if n < 2:
+    c = 1/(sqrt(n)-1) ("plus"); n is an int (2.5 raises TypeError)."""
+    if (n := operator.index(n)) < 2:
         raise ValueError("need at least 2 observations")
     if variant not in ("minus", "plus"):
         raise ValueError(f"unknown variant: {variant!r}")
@@ -145,9 +156,14 @@ def univariate_coefficients(t, n: int, variant: str) -> np.ndarray:
 
     Variant "a" comes from (I_2 - X^(2))^-1, switching to the rank-one
     branch when its determinant factor vanishes; variant "b" comes from
-    the standard-sign Householder T and has no singular case.
+    the standard-sign Householder T and has no singular case.  n is an int
+    (2.5 raises TypeError) of at least 3, and t has at least 2 entries.
     """
     t = as_vector(t)
+    if (n := operator.index(n)) < 3:
+        raise ValueError("need at least 3 observations")
+    if t.size < 2:
+        raise ValueError(f"predictor has {t.size} entry, need at least 2")
     rn = math.sqrt(n)
     t1, t2 = float(t[0]), float(t[1])
     if variant == "a":
@@ -171,8 +187,7 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
     Y = as_vector(Y)
     tv = t.t
     n = Y.size
-    if n < 3:
-        raise ValueError("need at least 3 observations")
+    S = univariate_coefficients(tv, n, variant)  # n < 3 raises here
     if tv.size != n:
         raise ValueError(f"predictor length {tv.size} != {n}")
     if not _BAND[0] <= float(np.vdot(Y, Y)) <= _BAND[1] and Y.any():
@@ -181,8 +196,7 @@ def univariate_w(t: StandardizedPredictor, Y, variant: str = "b") -> Independent
     X[:, 0] = 1.0
     X[:, 1] = tv
     a_hat, b_hat = float(Y.sum()) / n, float(tv.dot(Y))
-    return _construct(X, np.array([a_hat, b_hat]), Y - a_hat - b_hat * tv,
-                      univariate_coefficients(tv, n, variant))
+    return _construct(X, np.array([a_hat, b_hat]), Y - a_hat - b_hat * tv, S)
 
 
 def standardize_predictor(raw) -> StandardizedPredictor:

@@ -411,6 +411,20 @@ class TestIndep:
             want = getattr(ref, key)
             assert np.linalg.norm(out[key] - want) <= 1e-13 * np.linalg.norm(want), key
 
+    @pytest.mark.parametrize("rows", [None, "0,1,2,3", "2,17,30,39"])
+    def test_general_is_the_library_call(self, tmp_path, capsys, rows):
+        # general mode is fit_independent_residuals on the file's columns, float for float
+        data = np.random.default_rng(5).standard_normal((40, 5))
+        path = write_csv(tmp_path / "g.csv", [[repr(float(c)) for c in row] for row in data])
+        argv = ["indep", path, "--mode", "general"] + (["--rows", rows] if rows else [])
+        code, out = run(capsys, argv)
+        assert code == 0
+        data = read_csv_matrix(path)
+        fit, res = regression.fit_independent_residuals(data[:, :-1], data[:, -1],
+                                                        cli.parse_selection(rows))
+        assert (out["W"], out["v"], out["beta_star"], out["rss"]) == (
+            res.W.tolist(), res.v.tolist(), res.beta_star.tolist(), fit.rss)
+
     def test_badly_scaled_design_exits_cleanly(self, tmp_path, capsys):
         # X = [1, 1e5 z1, 1e-5 z2] has condition number about 1e10
         z = np.random.default_rng(0).standard_normal((30, 3))

@@ -17,6 +17,7 @@ from orthores import (
     SProjector,
     apply_Qt,
     explicit_orthocomplement_basis,
+    fit_independent_residuals,
     fit_least_squares,
     householder_qr,
     independent_residuals,
@@ -413,6 +414,113 @@ class TestIndependentResiduals:
             out.W, orthocomplement_apply(sp, X, fit.residuals), atol=1e-12)
 
 
+def groups_problem(rng, n, p):
+    """A small general regression as the groups benchmark draws them: an intercept and
+    p - 1 normal columns, Y = X b + noise."""
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    return X, X @ rng.standard_normal(p) + rng.standard_normal(n)
+
+
+def selections(rng, n, p):
+    """None, the explicit first p rows and a scattered selection."""
+    return [None, RowSelection(range(p)), random_selection(rng, n, p)]
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestFitIndependentResiduals:
+    """One call: X and Y with the selected rows first, one fit, and S from its factorization."""
+
+    @staticmethod
+    def permuted_route(X, Y, sel):
+        # permute [X | Y] once, fit the permuted rows and take S from that fit's T
+        n, p = X.shape
+        data = np.column_stack([X, Y])
+        if sel is not None and sel.indices != tuple(range(p)):
+            data = data[sel.permutation(n)]
+        fit = fit_least_squares(data[:, :-1], data[:, -1])
+        return fit, independent_residuals(fit, s_from_qr(fit.qr, data[:, :-1]))
+
+    @pytest.mark.parametrize("n,p", [(8, 3), (40, 5), (512, 6), (3000, 6)])
+    def test_bit_identical_to_the_permuted_route(self, n, p):
+        rng = np.random.default_rng(n + p)
+        X, Y = groups_problem(rng, n, p)
+        for sel in selections(rng, n, p):
+            fit, out = fit_independent_residuals(X, Y, sel)
+            ref_fit, ref = self.permuted_route(X, Y, sel)
+            for got, want in ((fit, ref_fit), (out, ref)):
+                for field in dataclasses.fields(want):
+                    if field.name != "qr":
+                        assert np.array_equal(getattr(got, field.name),
+                                              getattr(want, field.name)), (sel, field.name)
+            # the fit is of the rows in the selection's order
+            order = np.arange(n) if sel is None else sel.permutation(n)
+            assert np.array_equal(fit.X, X[order])
+
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_matches_the_four_call_route(self, p):
+        rng = np.random.default_rng(p)
+        for n in (8, 11, 23, 64, 150, 256, 512):
+            X, Y = groups_problem(rng, n, p)
+            for sel in selections(rng, n, p):
+                fit, out = fit_independent_residuals(X, Y, sel)
+                ref_fit = fit_least_squares(X, Y)
+                ref = independent_residuals(
+                    ref_fit, s_from_qr(qr_for_selection(X, sel), X, sel), sel)
+                assert abs(fit.rss - ref_fit.rss) <= 1e-14 * ref_fit.rss, (n, sel)
+                err = np.linalg.norm(out.W - ref.W)
+                assert err <= 1e-14 * np.linalg.norm(ref.W), (n, sel, err)
+
+    @pytest.mark.parametrize("rows", [None, (0, 1, 2), (1, 4, 7)])
+    def test_factors_once(self, monkeypatch, rows):
+        # every factorization on the standard-sign path is one LAPACK dgeqrf or dgeqrt call
+        counted = []
+        for name in ("dgeqrf", "dgeqrt"):
+            lapack = getattr(core, name)
+            monkeypatch.setattr(core, name,
+                                lambda *a, _f=lapack, **kw: counted.append(1) or _f(*a, **kw))
+        X, Y = groups_problem(np.random.default_rng(2), 12, 3)
+        fit_independent_residuals(X, Y, rows and RowSelection(rows))
+        assert len(counted) == 1
+
+    @pytest.mark.parametrize("rows", [None, (0, 1, 2), (1, 4, 7)])
+    @pytest.mark.parametrize("length", [11, 13])
+    def test_y_of_another_length(self, rows, length):
+        X = groups_problem(np.random.default_rng(3), 12, 3)[0]
+        Y = np.ones(length)
+        assert raised(lambda: fit_independent_residuals(X, Y, rows and RowSelection(rows))) \
+            == raised(lambda: fit_least_squares(X, Y))
+
+    @pytest.mark.parametrize("rows", [(1, 4), (1, 4, 7, 9), (1, 4, 12), (0, 1, 12)])
+    def test_bad_selection(self, rows):
+        X, Y = groups_problem(np.random.default_rng(4), 12, 3)
+        sel = RowSelection(rows)
+        got = raised(lambda: fit_independent_residuals(X, Y, sel))
+        assert got == raised(lambda: qr_for_selection(X, sel))
+        assert got[0] is ValueError
+
+    def test_selection_not_increasing(self):
+        X, Y = groups_problem(np.random.default_rng(4), 12, 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_independent_residuals(X, Y, RowSelection((4, 1, 7)))
+
+    @pytest.mark.parametrize("rows", [None, (0, 1, 2, 3)])
+    def test_as_many_columns_as_rows(self, rows):
+        X, Y = groups_problem(np.random.default_rng(5), 4, 4)
+        got = raised(lambda: fit_independent_residuals(X, Y, rows and RowSelection(rows)))
+        assert got == raised(lambda: fit_least_squares(X, Y)) == (ValueError, "need p < n, got 4x4")
+
+    def test_more_columns_than_rows(self):
+        # the selection check comes first, as for the orthores indep command
+        X, Y = groups_problem(np.random.default_rng(6), 3, 4)
+        got = raised(lambda: fit_independent_residuals(X, Y))
+        assert got == raised(lambda: qr_for_selection(X)) == (ValueError, "need p <= n, got 3x4")
+
+
 class TestStudentW:
     def test_two_point(self):
         out = student_w([1.0, 3.0], "minus")
@@ -798,6 +906,39 @@ class TestUnivariateSingularTolerance:
         np.testing.assert_allclose(AB, np.array([[1.0 - t[1], t[0]], [1.0, np.sqrt(n) - 1.0]]) / den,
                                    rtol=1e-12)
         assert AB[1, 1] != 0.0
+
+
+class TestCoefficientInputs:
+    """The closed S builders refuse what they cannot serve, with a typed error and no warning:
+    n is an int, at least 2 (mean-only) or 3 (slope-intercept), and t has 2 entries or more."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    def test_student_n_not_an_int(self, variant):
+        with pytest.raises(TypeError):
+            student_coefficient(2.5, variant)
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_univariate_n_not_an_int(self, variant):
+        with pytest.raises(TypeError):
+            univariate_coefficients([0.1, 0.2], 4.0, variant)
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_univariate_too_few_observations(self, n, variant):
+        # univariate_w's own limit; at n = 1, variant a gave [[-8, -1], [-10, -0]]
+        with pytest.raises(ValueError, match="need at least 3 observations"):
+            univariate_coefficients([0.1, 0.2], n, variant)
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_univariate_one_entry_predictor(self, variant):
+        with pytest.raises(ValueError, match="need at least 2"):
+            univariate_coefficients([1.0], 5, variant)
 
 
 class TestStandardizePredictor:
