@@ -45,9 +45,9 @@ dgesv, dgetrs, dtrtrs = _lapack.dgesv, _lapack.dgetrs, _lapack.dtrtrs  # orthoco
 # The tolerance table: every threshold at which the library takes a float for zero,
 # singular or orthogonal.  Other modules import these names; each line says what the
 # value is compared against and which functions read it.
-# pivot tail <= RANK_TOL ||x_k||: column k is dependent (_check_column, standardize_predictor)
+# pivot tail <= RANK_TOL ||x_k||: column k is dependent (_factor, standardize_predictor)
 RANK_TOL = 1e-12
-# |v_k| vs the pivot tail norm: an exact cancellation, H_k = I (householder_qr's loop)
+# |v_k| vs the pivot tail norm: an exact cancellation, H_k = I (_factor's to-positive/custom loop)
 CANCEL_TOL = 1e-12
 # a pivot, singular value or det factor vs its scale (_recursion, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
@@ -160,7 +160,8 @@ class HouseholderQR:
     H_k = I - tau[k] u_k u_k^T, where u_k is zero above its unit entry k and
     ``packed[k + 1:, k]`` below it: LAPACK's ``dgeqrf`` layout, n x p in
     Fortran order, whose entries on and above the diagonal are not read.
-    tau[k] = 0 marks an identity reflection.  col_norms[k] is ||x_k||.
+    tau[k] = 0 marks an identity reflection.  col_norms[k] is ||x_k||, taken
+    as ||T e_k|| under every sign policy.
     """
 
     n: int
@@ -189,7 +190,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
     DGEQRF_MAX_SIZE entries and ``dgeqrt`` above; other policies run
     ``dgeqrfp`` per pivot column and ``dormqr`` on the block to its right.
     Raises ValueError for an inf or NaN in X, else RankDeficiencyError at
-    the first column that _check_column finds dependent on the previous ones.
+    the first column that _factor finds dependent on the previous ones.
     """
     A = as_matrix(X, owned=True)  # ends with the reflectors below its diagonal and T on and above
     n, p = A.shape
@@ -197,21 +198,7 @@ def householder_qr(X, policy: SignPolicy = STANDARD) -> HouseholderQR:
         raise ValueError(f"need p <= n, got {n}x{p}")
     if policy.kind == "custom" and len(policy.signs) != p:
         raise ValueError(f"custom policy has {len(policy.signs)} signs, need {p}")
-    if policy.kind == "standard":
-        return _factor(A, p, X)[0]
-    with np.errstate(over="ignore"):  # an inf norm is _check_finite's to report
-        col_norms = np.hypot.reduce(A, axis=0)  # ||x_k||, with no overflow near 1e200
-    norms, tau = _check_finite(col_norms.tolist(), A), np.zeros(p)
-    for k, (d, col_norm) in enumerate(zip(policy.signs or (-1,) * p, norms)):
-        # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
-        a, t, _ = dgeqrfp(-d * A[k:, k:k + 1])
-        _check_column(k, a[0, 0], col_norm)  # a[0, 0] is the pivot tail norm, taken by dnrm2
-        if t[0] <= CANCEL_TOL:  # dlarfp's tau_k = |v_k| / (pivot tail norm): H_k = I
-            A[k + 1:, k] = 0.0
-            continue
-        A[k:, k + 1:] = dormqr("L", "T", a, t, A[k:, k + 1:], p)[0]
-        A[k, k], A[k + 1:, k], tau[k] = -d * a[0, 0], a[1:, 0], t[0]
-    return HouseholderQR(n=n, p=p, packed=A, tau=tau, T=np.triu(A[:p]), col_norms=col_norms)
+    return _factor(A, p, X, None if policy.kind == "standard" else policy.signs or (-1,) * p)[0]
 
 
 def _check_finite(norms: list[float], X, message: str = "column {} is finite, but its norm "
@@ -224,14 +211,6 @@ def _check_finite(norms: list[float], X, message: str = "column {} is finite, bu
             raise ValueError("array must not contain infs or NaNs")
         raise ValueError(message.format(list(map(math.isfinite, norms)).index(False) + 1))
     return norms
-
-
-def _check_column(k: int, tail: float, col_norm: float) -> None:
-    """The rank test: column k is dependent when its pivot tail <= RANK_TOL ||x_k||."""
-    if tail <= RANK_TOL * col_norm:
-        raise RankDeficiencyError(
-            f"rank deficiency detected at column {k + 1}: pivot tail norm {tail:.3e}"
-        )
 
 
 @lru_cache(maxsize=64)
@@ -250,42 +229,58 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _factor(A: np.ndarray, p: int, X) -> tuple[HouseholderQR, np.ndarray, list[float]]:
-    """The standard-sign QR of the first p columns of A, an n x m Fortran-order
-    array (m >= p) that LAPACK overwrites, the array itself and col_norms as
-    Python floats.  X, for _check_finite, holds what those columns held, in any row order.
+def _factor(A: np.ndarray, p: int, X, signs=None) -> tuple[HouseholderQR, np.ndarray, list[float]]:
+    """The QR of the first p columns of A, an n x m Fortran-order array (m >= p) that
+    LAPACK overwrites, with standard signs or else d_k = signs[k] (then m = p); the array
+    itself; and col_norms as Python floats.  X, for _check_finite, holds what those
+    columns held, in any row order.
 
-    Up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``, above it by
-    ``dgeqrt`` with block size p; both write the same layout, and the top p
-    rows of any further column end as (Q^T a_j)^(p).  The first p columns are
-    ``dgeqrt``'s first panel, so they factor bit for bit as they would alone
-    by ``dgeqrt``; ``dgeqrf``'s dgemv, whose sums depend on how many columns
-    it is given, matches that to rounding only.
+    Standard signs: up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``,
+    above it by ``dgeqrt`` with block size p; both write the same layout, and
+    the top p rows of any further column end as (Q^T a_j)^(p).  The first p
+    columns are ``dgeqrt``'s first panel, so they factor bit for bit as they
+    would alone by ``dgeqrt``; ``dgeqrf``'s dgemv, whose sums depend on how
+    many columns it is given, matches that to rounding only.
     dlarfg picks T_kk = -sgn(pivot) * (pivot tail norm), the standard sign; a
     -0.0 pivot, for which it picks +, needs A's -0.0 entries turned into +0.0
     first.  A zero tail gives tau_k = 0 (H_k = I) where the standard reflection
     is I - 2 e_k e_k^T, which only negates row k, the entries of further
     columns included.
+    Other signs: ``dgeqrfp`` per pivot column, ``dormqr`` on the block to its right.
+    Both end in one read of T, for col_norms (||T e_k||), the gate and the rank test.
     """
     n = A.shape[0]
-    A[:, :p] += 0.0  # -0.0 to +0.0 in place: a strided np.add into A took 3x as long
-    if A.size <= DGEQRF_MAX_SIZE:
-        a, tau, _, _ = dgeqrf(A, overwrite_a=True)
-        tau = tau[:p]
+    if signs is None:
+        A[:, :p] += 0.0  # -0.0 to +0.0 in place: a strided np.add into A took 3x as long
+        if A.size <= DGEQRF_MAX_SIZE:
+            a, tau, _, _ = dgeqrf(A, overwrite_a=True)
+            tau = tau[:p]
+        else:
+            a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
+            tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
+        if 0.0 in tau.tolist():  # a zero reflector; the list test beats np.count_nonzero
+            for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
+                a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
+                tau[k] = 2.0
     else:
-        a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
-        tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
-    if 0.0 in tau.tolist():  # a zero reflector; the list test beats np.count_nonzero
-        for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
-            a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
-            tau[k] = 2.0
+        a, tau = A, np.zeros(p)
+        for k, d in enumerate(signs):
+            # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
+            r, t, _ = dgeqrfp(-d * a[k:, k:k + 1])
+            if t[0] <= CANCEL_TOL:  # dlarfp's tau_k = |v_k| / (pivot tail norm): H_k = I
+                a[k + 1:, k] = 0.0
+                continue
+            a[k:, k + 1:] = dormqr("L", "T", r, t, a[k:, k + 1:], p)[0]
+            a[k, k], a[k + 1:, k], tau[k] = -d * r[0, 0], r[1:, 0], t[0]
     T = a[:p, :p].copy()  # C order; below its diagonal a holds the reflectors
     T[_strict_lower(p)] = 0.0
     cols = T.T.tolist()  # T's columns as Python floats: the one read of T
     norms = [math.hypot(*col) for col in cols]  # ||T e_k|| = ||x_k||; inf past range, no warning
     for k, col in enumerate(cols):  # |T_kk| is the pivot tail norm
         if not abs(col[k]) > RANK_TOL * norms[k] < math.inf:  # a NaN fails; the gate comes first
-            _check_column(k, abs(col[k]), _check_finite(norms, X)[k])
+            _check_finite(norms, X)
+            raise RankDeficiencyError(
+                f"rank deficiency detected at column {k + 1}: pivot tail norm {abs(col[k]):.3e}")
     qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=np.array(norms))
     return qr, a, norms
 

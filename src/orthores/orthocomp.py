@@ -191,7 +191,9 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     if qr.n != n or qr.p != p:
         raise ValueError("factorization shape does not match X")
     rows = _rows(sel, p, n)
-    if 0.0 in qr.tau.tolist():  # the rank formula: a zero reflector
+    # the rank formula: a zero reflector, kept for a to-positive or custom qr passed in; on the
+    # standard path _factor's fix-up leaves none (test_singular_under_custom_policy pins this)
+    if 0.0 in qr.tau.tolist():
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     head = X[rows]  # on a column-major X, take would first copy X to row-major
     S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]

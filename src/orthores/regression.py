@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor, _norm,
-                   _orthogonality_error, _record, as_matrix, as_vector, dtrtrs)
-from .orthocomp import RowSelection, SProjector, _apply_s, _rows, s_from_qr
+from .core import (RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor,
+                   _identity, _norm, _orthogonality_error, _record, as_matrix, as_vector, dtrtrs)
+from .orthocomp import RowSelection, SProjector, _apply_s, _rows, _solve
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,9 @@ def fit_independent_residuals(X, Y, sel: RowSelection | None = None
     X, Y = as_matrix(X), as_vector(Y)  # a Y of another length is left to the fit to reject
     if Y.size == len(X) and not isinstance(_rows(sel, X.shape[1], Y.size), slice):
         X, Y = X[sel._order(Y.size)], Y[sel._order(Y.size)]
-    fit = fit_least_squares(X, Y)
-    return fit, _construct(fit.X, fit.beta_hat, fit.residuals, s_from_qr(fit.qr, fit.X).S)
+    fit = fit_least_squares(X, Y)  # standard signs leave no zero reflector for s_from_qr to test
+    S = _solve(fit.qr.T - fit.X[:fit.qr.p], _identity(fit.qr.p), "T - X^(p)")[0]  # s_from_qr's S
+    return fit, _construct(fit.X, fit.beta_hat, fit.residuals, S)
 
 
 def student_coefficient(n: int, variant: str) -> np.ndarray:

@@ -45,10 +45,17 @@ class TestHouseholderQR:
         assert qr.tau[0] == 0.0
         np.testing.assert_allclose(qr.T, [[1.0]])
 
-    def test_rank_deficiency(self):
-        X = np.ones((5, 2))
-        with pytest.raises(RankDeficiencyError):
-            householder_qr(X)
+    @pytest.mark.parametrize("X,policy,message", [
+        (np.ones((5, 2)), STANDARD, "at column 2: pivot tail norm"),
+        (np.ones((5, 2)), TO_POSITIVE, "at column 2: pivot tail norm"),
+        (np.ones((5, 2)), SignPolicy.custom([1, -1]), "at column 2: pivot tail norm"),
+        # d_1 = 1 hands dgeqrfp a -0.0 column, whose tail it returns as -0.0; T_11 is +0.0
+        (np.array([[0.0, 1.0], [0.0, 2.0], [0.0, -1.0]]), SignPolicy.custom([1, -1]),
+         "at column 1: pivot tail norm 0.000e+00"),
+    ], ids=["standard", "to-positive", "custom", "custom-zero-column"])
+    def test_rank_deficiency(self, X, policy, message):
+        with pytest.raises(RankDeficiencyError, match=re.escape(message)):
+            householder_qr(X, policy)
 
     def test_custom_signs_length_checked(self):
         with pytest.raises(ValueError):
@@ -383,6 +390,9 @@ class TestLoopRange:
         assert qr.T[1, 1] > 0.0  # d_2 = -1 under both policies
         np.testing.assert_allclose(qr.T[1, 1], 4.330127018922193e200, rtol=1e-14)
         assert rank_count(qr, self.X_BIG) == 2
+        # col_norms are ||T e_k||, as on the standard path
+        assert np.all(np.abs(qr.col_norms - np.hypot.reduce(self.X_BIG, axis=0))
+                      <= 1e-14 * np.hypot.reduce(self.X_BIG, axis=0))
         scale = np.hypot.reduce(self.X_BIG.ravel())  # ||X||, which np.linalg.norm overflows
         assert np.max(np.abs(reconstruct(qr) - self.X_BIG)) <= 1e-13 * scale
 
