@@ -51,7 +51,7 @@ RANK_TOL = 1e-12
 CANCEL_TOL = 1e-12
 # a pivot, singular value or det factor vs its scale (_recursion, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
-# |cos(x_k, v)|, and a Gram error (_orthogonality_error for the fit and the apply, s_from_c)
+# |cos(x_k, v)|, a Gram error, beta's backward error (_orthogonality_error, s_from_c, the fit)
 ORTHO_TOL = 1e-8
 # an identity's error vs its scale (idempotent_check, benchmark_apply, and the CLI's --tol default)
 IDENTITY_TOL = 1e-10
@@ -229,15 +229,17 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _factor(A: np.ndarray, p: int, X, signs=None) -> tuple[HouseholderQR, np.ndarray, list[float]]:
+def _factor(A: np.ndarray, p: int, X, signs=None
+            ) -> tuple[HouseholderQR, np.ndarray, np.ndarray, list[float]]:
     """The QR of the first p columns of A, an n x m Fortran-order array (m >= p) that
     LAPACK overwrites, with standard signs or else d_k = signs[k] (then m = p); the array
-    itself; and col_norms as Python floats.  X, for _check_finite, holds what those
-    columns held, in any row order.
+    itself; the tau of every column factored; and col_norms as Python floats.  X, for
+    _check_finite, holds what those columns held, in any row order.
 
     Standard signs: up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``,
-    above it by ``dgeqrt`` with block size p; both write the same layout, and
-    the top p rows of any further column end as (Q^T a_j)^(p).  The first p
+    above it by ``dgeqrt`` with block size p; both write the same layout.  A bordered
+    column (m = p + 1) ends as (Q^T a_p)^(p) over its own reflector (tau[p]: ``dgeqrt``'s
+    wy[0, p]), from which the fit reads (Q^T a_p)_(p).  The first p
     columns are ``dgeqrt``'s first panel, so they factor bit for bit as they
     would alone by ``dgeqrt``; ``dgeqrf``'s dgemv, whose sums depend on how
     many columns it is given, matches that to rounding only.
@@ -253,17 +255,16 @@ def _factor(A: np.ndarray, p: int, X, signs=None) -> tuple[HouseholderQR, np.nda
     if signs is None:
         A[:, :p] += 0.0  # -0.0 to +0.0 in place: a strided np.add into A took 3x as long
         if A.size <= DGEQRF_MAX_SIZE:
-            a, tau, _, _ = dgeqrf(A, overwrite_a=True)
-            tau = tau[:p]
+            a, taus, _, _ = dgeqrf(A, overwrite_a=True)
         else:
             a, wy, _ = dgeqrt(p, A, overwrite_a=True)  # info < 0 needs p > n
-            tau = wy.diagonal().copy()  # the first block factor's diagonal; the rest is not kept
-        if 0.0 in tau.tolist():  # a zero reflector; the list test beats np.count_nonzero
-            for k in np.flatnonzero(tau == 0.0).tolist():  # u_k is zero below the diagonal already
+            taus = np.append(wy.diagonal(), wy[0, p:])  # the first block factor's diagonal
+        if 0.0 in taus[:p].tolist():  # a zero reflector; the list test beats np.count_nonzero
+            for k in np.flatnonzero(taus[:p] == 0.0).tolist():  # u_k is zero below the diagonal
                 a[k, k:] = 0.0 - a[k, k:]  # 0.0 - keeps the zeros positive
-                tau[k] = 2.0
+                taus[k] = 2.0
     else:
-        a, tau = A, np.zeros(p)
+        a, taus = A, np.zeros(p)
         for k, d in enumerate(signs):
             # dlarfp's reflector sends -d x to +||x|| e_1, so it sends x to -d ||x|| e_1
             r, t, _ = dgeqrfp(-d * a[k:, k:k + 1])
@@ -271,7 +272,7 @@ def _factor(A: np.ndarray, p: int, X, signs=None) -> tuple[HouseholderQR, np.nda
                 a[k + 1:, k] = 0.0
                 continue
             a[k:, k + 1:] = dormqr("L", "T", r, t, a[k:, k + 1:], p)[0]
-            a[k, k], a[k + 1:, k], tau[k] = -d * r[0, 0], r[1:, 0], t[0]
+            a[k, k], a[k + 1:, k], taus[k] = -d * r[0, 0], r[1:, 0], t[0]
     T = a[:p, :p].copy()  # C order; below its diagonal a holds the reflectors
     T[_strict_lower(p)] = 0.0
     cols = T.T.tolist()  # T's columns as Python floats: the one read of T
@@ -281,8 +282,9 @@ def _factor(A: np.ndarray, p: int, X, signs=None) -> tuple[HouseholderQR, np.nda
             _check_finite(norms, X)
             raise RankDeficiencyError(
                 f"rank deficiency detected at column {k + 1}: pivot tail norm {abs(col[k]):.3e}")
-    qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=tau, T=T, col_norms=np.array(norms))
-    return qr, a, norms
+    qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=taus[:p], T=T,
+                 col_norms=np.array(norms))
+    return qr, a, taus, norms
 
 
 def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:

@@ -81,7 +81,7 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | No
     or an n x m block x, without permuting or gathering the n rows of X."""
     n, p = X.shape[0], S.shape[0]
     idx = _rows(sel, p, n)
-    v = S.dot(x[idx])  # fancy indexing gathers faster than take; dot: see fit_least_squares
+    v = S.dot(x[idx])  # fancy indexing gathers faster than take; dot: matmul's bits, less dispatch
     if isinstance(idx, slice):  # the first p rows: views suffice
         W = np.matmul(X[p:], v, out=out)  # not dot: its bits differ on a column-major X[p:]
         W += x[p:]  # in place, bit for bit, since a fresh n-row array page-faults again

@@ -3,7 +3,8 @@
 Every construction perturbs the last n-p residuals by X_(p) S R^(p) and
 differs from the others only in S: the generic (T - X^(p))^-1, the
 mean-only (p = 1) coefficient c, or the slope-intercept (p = 2) 2x2
-matrix.  Every path preserves the residual sum of squares: W^T W = R^T R.
+matrix; fit_independent_residuals reads the generic W off the fit's Q^T Y
+instead.  Every path preserves the residual sum of squares: W^T W = R^T R.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor,
-                   _identity, _norm, _orthogonality_error, _record, as_matrix, as_vector, dtrtrs)
+from .core import (ORTHO_TOL, RANK_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _dormqr,
+                   _every, _factor, _norm, _orthogonality_error, _record, as_matrix, as_vector,
+                   dtrtrs)
 from .orthocomp import RowSelection, SProjector, _apply_s, _rows, _solve
 
 
@@ -26,6 +28,7 @@ class RegressionFit:
     residuals: np.ndarray
     rss: float
     qr: HouseholderQR
+    c2: np.ndarray  # M^T Y = M^T R, the last n-p entries of Q^T Y: the W of the first p rows
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,8 @@ class StandardizedPredictor:
 
 
 def fit_least_squares(X, Y) -> RegressionFit:
-    """QR-based least squares from one factorization of [X | Y]: the top of its
-    last column is z = (Q^T Y)^(p), and T beta = z is back-substituted."""
+    """QR-based least squares from one factorization of [X | Y], whose last column gives
+    Q^T Y = [z; c2]: T beta = z is back-substituted, and R = Q [0; c2] (Bjorck, 1996)."""
     X = as_matrix(X)
     Y = as_vector(Y)
     n, p = X.shape
@@ -64,20 +67,28 @@ def fit_least_squares(X, Y) -> RegressionFit:
     A = np.empty((n, p + 1), order="F")
     A[:, :p] = X
     A[:, p] = Y
-    qr, a, col_norms = _factor(A, p, X)  # its gate and rank test read X's columns only
+    qr, a, tau, col_norms = _factor(A, p, X)  # its gate and rank test read X's columns only
     head = a[:p + 1, p]  # z over +-||R||, so ||head|| = ||Y||
-    y_norm = math.hypot(*head.tolist())  # a scale and the band test only: not an output
+    y_norm = math.hypot(*(h := head.tolist()))  # scales and the band test only: not outputs
     if not _BAND[0] <= y_norm * y_norm <= _BAND[1] and Y.any():  # an inf, NaN or overflow too
         return _rescaled(lambda y: fit_least_squares(X, y), Y)
     # T^T is lower triangular and already in LAPACK's column-major order;
     # info > 0 (a zero T_kk) cannot follow _factor's rank check
     beta, _ = dtrtrs(qr.T.T, head[:p], lower=1, trans=1)
-    if any(map(math.isinf, beta.tolist())):  # a NaN is the normal-equation check's to catch
+    if any(map(math.isinf, b := beta.tolist())):  # a NaN is the normal-equation check's to catch
         raise ValueError("Y is finite, but its fit exceeds the float range (beta_hat)")
-    R = Y - X.dot(beta)  # dot: matmul's BLAS call and bits, less its per-call dispatch
+    # R does not read beta: test its backward error for |dT_ij| <= eta ||x_j||, |dz| <= eta ||z||
+    scale = sum(map(operator.mul, col_norms, map(abs, b))) + math.hypot(*h[:p])
+    if not (err := math.dist(qr.T.dot(beta).tolist(), h[:p])) <= ORTHO_TOL * scale:  # NaN fails
+        raise ArithmeticError(f"normal-equation residual too large: {err / scale:.3e}")
+    c2, beta_p, tau_p = a[p:, p], h[p], tau.item(p)  # reflector p + 1 sends c2 to beta_p e_1
+    c2 *= 0.0 - tau_p * beta_p  # c2 = beta_p (e_1 - tau_p u); 0.0 - and + 0.0 keep zeros +0.0
+    a[:p, p], c2[0] = 0.0, beta_p * (1.0 - tau_p) + 0.0  # exact: tau_p is 0 or in [1, 2]
+    R = _dormqr(qr, "N", a[:, p:])[:, 0]  # Q [0; c2] (Bjorck): orthogonal to col(X) to rounding
     if (err := _orthogonality_error(X, col_norms, R, y_norm)) is not None:
         raise ArithmeticError(f"normal-equation residual too large: {err:.3e}")
-    return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr)
+    return _record(RegressionFit, X=X, beta_hat=beta, residuals=R, rss=float(R.dot(R)), qr=qr,
+                   c2=c2)
 
 
 # Where ||v||^2 lies in this band, no step of the fit or the constructions on v overflows.
@@ -120,13 +131,14 @@ def independent_residuals(fit: RegressionFit, sp: SProjector,
 
 def fit_independent_residuals(X, Y, sel: RowSelection | None = None
                               ) -> tuple[RegressionFit, IndependentResiduals]:
-    """One QR for the fit and W: the fit is of X, Y in sel.permutation's order (selected first)."""
+    """One QR for the fit and W: the fit is of X, Y in sel.permutation's order (selected first);
+    W is a copy of its c2, and v = S R^(p) for s_from_qr's S = (T - X^(p))^-1, by one solve."""
     X, Y = as_matrix(X), as_vector(Y)  # a Y of another length is left to the fit to reject
     if Y.size == len(X) and not isinstance(_rows(sel, X.shape[1], Y.size), slice):
         X, Y = X[sel._order(Y.size)], Y[sel._order(Y.size)]
     fit = fit_least_squares(X, Y)  # standard signs leave no zero reflector for s_from_qr to test
-    S = _solve(fit.qr.T - fit.X[:fit.qr.p], _identity(fit.qr.p), "T - X^(p)")[0]  # s_from_qr's S
-    return fit, _construct(fit.X, fit.beta_hat, fit.residuals, S)
+    v = _solve(fit.qr.T - fit.X[:fit.qr.p], fit.residuals[:fit.qr.p], "T - X^(p)")[0]
+    return fit, _record(IndependentResiduals, W=fit.c2.copy(), v=v, beta_star=fit.beta_hat - v)
 
 
 def student_coefficient(n: int, variant: str) -> np.ndarray:

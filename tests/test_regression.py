@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtrs
 
-from orthores import core, regression
+from orthores import cli, core, regression
 from orthores import (
     STANDARD,
     TO_POSITIVE,
@@ -175,7 +176,7 @@ class TestBorderedFit:
         assert (np.abs(fit.beta_hat - beta) * qr.col_norms <= 1e-13 * norm_y).all()
         assert (np.abs(fit.residuals - R) <= 1e-13 * norm_y).all()
 
-    def test_one_factorization_and_no_second_pass(self, monkeypatch):
+    def test_one_factorization_and_one_dormqr(self, monkeypatch):
         calls = []
 
         def counting(name):
@@ -190,7 +191,8 @@ class TestBorderedFit:
             monkeypatch.setattr(core, name, counting(name))
         X = np.column_stack([np.ones(9), np.arange(9.0)])
         fit_least_squares(X, np.sin(np.arange(9.0)))
-        assert calls == ["dgeqrf"]
+        # one factorization, and one dormqr that takes R = Q [0; c2] from its Q^T Y
+        assert calls == ["dgeqrf", "dormqr"]
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_response_in_column_space(self, exact):
@@ -248,6 +250,132 @@ class TestBorderedFit:
                     fit_least_squares(np.ones((3, 1)), Y)
             else:
                 assert fit_least_squares(np.ones((3, 1)), Y).rss > 0.0
+
+
+def conditioned(rng, n, p, c):
+    """X = U diag(1 .. 10^-c) V^T with U and V random orthonormal: cond(X) = 10^c."""
+    U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return (U * np.logspace(0, -c, p)) @ V.T
+
+
+class TestQtYTail:
+    """The fit reads c2 = M^T Y, the tail of Q^T Y, off the reflector that LAPACK builds
+    from it in the bordered column, and takes R = Q [0; c2]."""
+
+    @staticmethod
+    def explicit(fit, Y):
+        # M^T Y through the explicit basis of the fit's own reflectors, in its own loop
+        return explicit_orthocomplement_basis(fit.qr).T @ Y
+
+    @pytest.mark.parametrize("n,p", [(9, 2), (40, 5), (1170, 6), (1171, 6), (1500, 4)])
+    def test_both_factorization_routes(self, monkeypatch, n, p):
+        # [X | Y] of up to DGEQRF_MAX_SIZE entries takes tau from dgeqrf, above it from dgeqrt
+        called = []
+        for name in ("dgeqrf", "dgeqrt"):
+            lapack = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, _f=lapack, _n=name, **kw:
+                                called.append(_n) or _f(*a, **kw))
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, p))
+        Y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+        fit = fit_least_squares(X, Y)
+        assert called == ["dgeqrf" if n * (p + 1) <= core.DGEQRF_MAX_SIZE else "dgeqrt"]
+        norm_y = np.linalg.norm(Y)
+        assert np.linalg.norm(fit.c2 - self.explicit(fit, Y)) <= 1e-14 * norm_y
+        R = Y - X @ np.linalg.lstsq(X, Y, rcond=None)[0]
+        assert np.linalg.norm(fit.residuals - R) <= 1e-13 * norm_y
+        assert abs(fit.c2 @ fit.c2 - fit.rss) <= 1e-14 * fit.rss
+
+    def test_zero_tail(self):
+        # Y in col(X) exactly: c2 = 0, so dlarfg gives tau = 0, and R = Q [0; 0] = 0
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        fit = fit_least_squares(X, np.array([2.0, -3.0, 0.0, 0.0]))
+        assert fit.c2.tolist() == [0.0, 0.0] and fit.residuals.tolist() == [0.0] * 4
+        # tolist's == cannot tell -0.0 from 0.0, and the JSON output can
+        assert not np.signbit(fit.c2).any() and not np.signbit(fit.residuals).any()
+        np.testing.assert_array_equal(fit.beta_hat, [2.0, -3.0])
+
+    def test_zero_head_entry(self):
+        # (Q^T Y)_p = 0 over a nonzero tail: dlarfg gives tau_p = 1 and beta_p < 0, so
+        # c2[0] = beta_p (1 - tau_p) is a zero, which must print as 0.0, not -0.0
+        fit, out = fit_independent_residuals(np.ones((4, 1)), np.array([0.0, 0.0, 1.0, -1.0]))
+        assert out.W.tolist() == fit.c2.tolist() == [0.0, 1.0, -1.0]
+        assert np.signbit(out.W).tolist() == [False, False, True]
+        np.testing.assert_allclose(fit.residuals, [0.0, 0.0, 1.0, -1.0], rtol=0, atol=1e-15)
+        assert not np.signbit(fit.residuals[:2]).any()
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_one_row_past_p(self, p):
+        # n = p + 1: c2 has one entry, and dlarfg gives tau = 0 for it, so c2 = beta
+        rng = np.random.default_rng(p)
+        X, Y = rng.standard_normal((p + 1, p)), rng.standard_normal(p + 1)
+        fit = fit_least_squares(X, Y)
+        assert fit.c2.shape == (1,)
+        assert abs(fit.c2[0] - self.explicit(fit, Y)[0]) <= 1e-14 * np.linalg.norm(Y)
+        assert abs(fit.c2[0] ** 2 - fit.rss) <= 1e-14 * fit.rss
+        _, out = fit_independent_residuals(X, Y)
+        assert out.W.tobytes() == fit.c2.tobytes()
+
+    @pytest.mark.parametrize("k", [532, -532])
+    def test_rescaled(self, k):
+        # ||Y||^2 leaves [2^-1000, 2^1000], so the fit runs on Y 2^-e and scales c2 back too;
+        # R is small, so that R'R of the big fit is a float
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
+        Y = X @ [1.0, 2.0, -1.0] + 1e-20 * rng.standard_normal(20)
+        fit, out = fit_independent_residuals(X, Y, RowSelection((2, 7, 19)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, big_out = fit_independent_residuals(X, np.ldexp(Y, k), RowSelection((2, 7, 19)))
+        for got, want in ((big.c2, fit.c2), (big.residuals, fit.residuals), (big_out.W, out.W),
+                          (big_out.v, out.v)):
+            assert got.tobytes() == np.ldexp(want, k).tobytes()
+        assert big_out.W.tobytes() == big.c2.tobytes()
+
+    @pytest.mark.parametrize("c", [0, 4, 8, 10, 12])
+    def test_no_farther_from_the_explicit_basis(self, c):
+        # W = c2 against the formula R_(p) + X_(p) S R^(p) on the same fit: at cond 10^c the
+        # formula's X_(p) S cancels, and c2 stays at rounding level
+        for draw in range(4):
+            rng = np.random.default_rng(100 * c + draw)
+            X = conditioned(rng, 300, 4, c)
+            Y = X @ rng.standard_normal(4) + rng.standard_normal(300)
+            sel = random_selection(rng, 300, 4)
+            fit, out = fit_independent_residuals(X, Y, sel)
+            want = self.explicit(fit, Y[sel.permutation(300)])
+            formula = independent_residuals(fit, s_from_qr(fit.qr, fit.X)).W
+            new, old = np.linalg.norm(out.W - want), np.linalg.norm(formula - want)
+            scale = np.linalg.norm(want)
+            assert new <= 1e-15 * scale and new <= max(old, 1e-15 * scale), (draw, new, old)
+
+
+class TestIllConditioned:
+    """Across cond 1 .. 1e12 the general construction keeps W'W = R'R and R orthogonal to
+    col(X) at rounding level, and ``orthores indep --mode general`` exits 0."""
+
+    @pytest.mark.parametrize("c", range(13))
+    def test_sweep(self, tmp_path, c):
+        n, p = 2000, 6
+        for draw in range(4):
+            rng = np.random.default_rng(1000 * c + draw)
+            X = conditioned(rng, n, p, c)
+            Y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+            path = tmp_path / "xy.csv"
+            np.savetxt(path, np.column_stack([X, Y]), delimiter=",", fmt="%.17g")
+            for sel in (None, random_selection(rng, n, p)):
+                rows = [] if sel is None else ["--rows", ",".join(map(str, sel.indices))]
+                out_path = tmp_path / "out.json"
+                argv = ["indep", str(path), "--mode", "general", "--out", str(out_path)] + rows
+                assert cli.main(argv) == 0, (c, draw, sel)
+                doc = json.loads(out_path.read_text())
+                assert abs(doc["wss"] - doc["rss"]) <= 1e-14 * doc["rss"]
+                fit, out = fit_independent_residuals(X, Y, sel)
+                assert doc["W"] == out.W.tolist()
+                R = fit.residuals
+                assert abs(out.W @ out.W - R @ R) < 1e-14 * (R @ R), (c, draw, sel)
+                ratio = np.max(np.abs(fit.X.T @ R) / np.linalg.norm(fit.X, axis=0))
+                assert ratio < 1e-15 * np.linalg.norm(Y), (c, draw, sel, ratio)
 
 
 class TestScaleCovariance:
@@ -446,17 +574,22 @@ class TestFitIndependentResiduals:
         return fit, independent_residuals(fit, s_from_qr(fit.qr, data[:, :-1]))
 
     @pytest.mark.parametrize("n,p", [(8, 3), (40, 5), (512, 6), (3000, 6)])
-    def test_bit_identical_to_the_permuted_route(self, n, p):
+    def test_fit_bit_identical_to_the_permuted_route(self, n, p):
+        # the fit is the same call on the same rows, bit for bit; W is its c2 and v one
+        # solve, where the route takes W and v by the paper's formula: equal to rounding
         rng = np.random.default_rng(n + p)
         X, Y = groups_problem(rng, n, p)
         for sel in selections(rng, n, p):
             fit, out = fit_independent_residuals(X, Y, sel)
             ref_fit, ref = self.permuted_route(X, Y, sel)
-            for got, want in ((fit, ref_fit), (out, ref)):
-                for field in dataclasses.fields(want):
-                    if field.name != "qr":
-                        assert np.array_equal(getattr(got, field.name),
-                                              getattr(want, field.name)), (sel, field.name)
+            for field in dataclasses.fields(ref_fit):
+                if field.name != "qr":
+                    assert np.array_equal(getattr(fit, field.name),
+                                          getattr(ref_fit, field.name)), (sel, field.name)
+            for field in dataclasses.fields(ref):
+                got, want = getattr(out, field.name), getattr(ref, field.name)
+                err = np.linalg.norm(got - want)
+                assert err <= 1e-14 * np.linalg.norm(want), (sel, field.name, err)
             # the fit is of the rows in the selection's order
             order = np.arange(n) if sel is None else sel.permutation(n)
             assert np.array_equal(fit.X, X[order])
@@ -465,6 +598,23 @@ class TestFitIndependentResiduals:
     def test_matches_the_four_call_route(self, p):
         rng = np.random.default_rng(p)
         for n in (8, 11, 23, 64, 150, 256, 512):
+            X, Y = groups_problem(rng, n, p)
+            for sel in selections(rng, n, p):
+                fit, out = fit_independent_residuals(X, Y, sel)
+                ref_fit = fit_least_squares(X, Y)
+                ref = independent_residuals(
+                    ref_fit, s_from_qr(qr_for_selection(X, sel), X, sel), sel)
+                assert abs(fit.rss - ref_fit.rss) <= 1e-14 * ref_fit.rss, (n, sel)
+                err = np.linalg.norm(out.W - ref.W)
+                assert err <= 1e-14 * np.linalg.norm(ref.W), (n, sel, err)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_matches_the_four_call_route_on_groups_style_pools(self, seed):
+        # 128 general problems of the groups benchmark's shape: p = 3 and 6 in turn, n
+        # log-uniform in 8..512, an intercept and normal columns
+        rng = np.random.default_rng(seed)
+        for i in range(128):
+            p, n = 3 + 3 * (i % 2), int(round(8 * 64 ** rng.random()))
             X, Y = groups_problem(rng, n, p)
             for sel in selections(rng, n, p):
                 fit, out = fit_independent_residuals(X, Y, sel)
@@ -663,7 +813,7 @@ class TestPowerOfTwoScaling:
     float-range error exactly where that product is not a float."""
 
     # the power of 2^k by which each output scales; the fit's X and qr do not move
-    DEGREE = {"beta_hat": 1, "residuals": 1, "rss": 2, "W": 1, "v": 1, "beta_star": 1,
+    DEGREE = {"beta_hat": 1, "residuals": 1, "rss": 2, "c2": 1, "W": 1, "v": 1, "beta_star": 1,
               "shift": 1, "scale": 1, "t": 0, "X": 0}
 
     @staticmethod
