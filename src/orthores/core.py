@@ -13,11 +13,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 
 def _flapack(directory: str):
@@ -38,7 +37,7 @@ def _flapack(directory: str):
     return module
 
 
-_lapack = _flapack(f"{scipy.__path__[0]}/linalg")
+_lapack = _flapack(f"{find_spec('scipy').submodule_search_locations[0]}/linalg")
 dgeqrf, dgeqrfp, dgeqrt, dormqr = _lapack.dgeqrf, _lapack.dgeqrfp, _lapack.dgeqrt, _lapack.dormqr
 dgesv, dgetrs, dtrtrs = _lapack.dgesv, _lapack.dgetrs, _lapack.dtrtrs  # orthocomp, regression
 
@@ -51,7 +50,7 @@ RANK_TOL = 1e-12
 CANCEL_TOL = 1e-12
 # a pivot, singular value or det factor vs its scale (_recursion, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
-# |cos(x_k, v)|, a Gram error, beta's backward error (_orthogonality_error, s_from_c, the fit)
+# |cos(x_k, x)|, a Gram error, a fit's backward error (_orthogonality_error, s_from_c, the fit)
 ORTHO_TOL = 1e-8
 # an identity's error vs its scale (idempotent_check, benchmark_apply, and the CLI's --tol default)
 IDENTITY_TOL = 1e-10
@@ -79,21 +78,6 @@ def _norm(v: np.ndarray) -> float:
         return math.sqrt(ss)
     with np.errstate(over="ignore", under="ignore"):
         return float(np.hypot.reduce(v))
-
-
-def _orthogonality_error(X, col_norms: list[float], v: np.ndarray, v_norm: float) -> float | None:
-    """The orthogonality guard of the fit and of orthocomplement_apply: None where every
-    |x_k^T v| <= ORTHO_TOL ||x_k|| v_norm, else the largest |x_k^T v| / ||x_k|| (a NaN fails).
-    Where max ||x_k|| v_norm reaches 2^1000, it runs on v 2^-e against v_norm 2^-e, e the
-    exponent of v_norm: exact, and no x_k^T v overflows, since v_norm >= ||v||."""
-    e = 0
-    if max(col_norms) * v_norm >= 2.0 ** 1000:
-        e = math.frexp(v_norm)[1]
-        v, v_norm = np.ldexp(v, -e), math.ldexp(v_norm, -e)
-    g, bound = X.T.dot(v), ORTHO_TOL * v_norm
-    if all(abs(d) / c <= bound for d, c in zip(g.tolist(), col_norms)):  # in Python floats
-        return None
-    return float(np.ldexp(np.max(np.abs(g) / col_norms), e))
 
 
 def _every(mask: np.ndarray) -> bool:

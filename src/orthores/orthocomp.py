@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor,
-                   _identity, _norm, _orthogonality_error, _record, as_matrix, as_vector, dgesv,
-                   dgetrs, dtrtrs, householder_qr)
+                   _identity, _norm, _record, as_matrix, as_vector, dgesv, dgetrs, dtrtrs,
+                   householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -236,6 +236,21 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     """
     Mt = _c_step(C, as_matrix(X), sel, head=True)[1]  # (X^(p) C^-1)^T
     return _recursion(Mt.T, greedy=True)[2]
+
+
+def _orthogonality_error(X, col_norms: list[float], v: np.ndarray, v_norm: float) -> float | None:
+    """orthocomplement_apply's orthogonality guard: None where every
+    |x_k^T v| <= ORTHO_TOL ||x_k|| v_norm, else the largest |x_k^T v| / ||x_k|| (a NaN fails).
+    Where max ||x_k|| v_norm reaches 2^1000, it runs on v 2^-e against v_norm 2^-e, e the
+    exponent of v_norm: exact, and no x_k^T v overflows, since v_norm >= ||v||."""
+    e = 0
+    if max(col_norms) * v_norm >= 2.0 ** 1000:
+        e = math.frexp(v_norm)[1]
+        v, v_norm = np.ldexp(v, -e), math.ldexp(v_norm, -e)
+    g, bound = X.T.dot(v), ORTHO_TOL * v_norm
+    if all(abs(d) / c <= bound for d, c in zip(g.tolist(), col_norms)):  # in Python floats
+        return None
+    return float(np.ldexp(np.max(np.abs(g) / col_norms), e))
 
 
 def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None) -> np.ndarray:

@@ -10,7 +10,6 @@ distributional claims through moments, and it exercises the fast kernel
 from __future__ import annotations
 
 import math
-import statistics
 import timeit
 from dataclasses import dataclass, fields
 
@@ -370,5 +369,5 @@ def benchmark_apply(n_grid: list[int], p: int, repeats: int) -> list[dict]:
     for _ in range(repeats):
         for key, (timer, number) in timers.items():
             samples[key].append(timer.timeit(number) / number)
-    return [{"method": method, "n": n, "seconds": statistics.median(secs)}
+    return [{"method": method, "n": n, "seconds": float(np.median(secs))}
             for (method, n), secs in samples.items()]

@@ -95,6 +95,16 @@ class TestFit:
         with pytest.raises(ArithmeticError, match="normal-equation"):
             fit_least_squares(1e-7 * z[:, :2], z[:, 2])
 
+    @pytest.mark.parametrize("error", [1e-6, np.nan])
+    def test_normal_equation_check_catches_a_wrong_residual(self, monkeypatch, error):
+        # R = Q [0; c2] is orthogonal to col(X) whatever c2 holds, so only Y = X beta + R
+        # can see a c2 off by 1e-6
+        true_dormqr = regression._dormqr
+        monkeypatch.setattr(regression, "_dormqr", lambda *a: true_dormqr(*a) * (1.0 + error))
+        z = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(ArithmeticError, match="normal-equation"):
+            fit_least_squares(z[:, :2], z[:, 2])
+
     @pytest.mark.parametrize("where", ["X", "Y"])
     def test_non_finite_input(self, where):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
@@ -351,8 +361,9 @@ class TestQtYTail:
 
 
 class TestIllConditioned:
-    """Across cond 1 .. 1e12 the general construction keeps W'W = R'R and R orthogonal to
-    col(X) at rounding level, and ``orthores indep --mode general`` exits 0."""
+    """Across cond 1 .. 1e12 the general construction keeps W'W = R'R, R orthogonal to
+    col(X) and Y = X beta_hat + R at rounding level, and ``orthores indep --mode general``
+    exits 0."""
 
     @pytest.mark.parametrize("c", range(13))
     def test_sweep(self, tmp_path, c):
@@ -374,8 +385,14 @@ class TestIllConditioned:
                 assert doc["W"] == out.W.tolist()
                 R = fit.residuals
                 assert abs(out.W @ out.W - R @ R) < 1e-14 * (R @ R), (c, draw, sel)
-                ratio = np.max(np.abs(fit.X.T @ R) / np.linalg.norm(fit.X, axis=0))
+                norms = np.linalg.norm(fit.X, axis=0)
+                ratio = np.max(np.abs(fit.X.T @ R) / norms)
                 assert ratio < 1e-15 * np.linalg.norm(Y), (c, draw, sel, ratio)
+                # the fit's own backward-error test, in the fit's row order
+                Yf = Y if sel is None else Y[sel.permutation(n)]
+                backward = np.linalg.norm(Yf - fit.X @ fit.beta_hat - R) / (
+                    np.linalg.norm(Y) + norms @ np.abs(fit.beta_hat))
+                assert backward <= 1e-14, (c, draw, sel, backward)
 
 
 class TestScaleCovariance:
