@@ -50,7 +50,7 @@ RANK_TOL = 1e-12
 CANCEL_TOL = 1e-12
 # a pivot, singular value or det factor vs its scale (_recursion, _svd_rank, univariate_coefficients)
 SINGULAR_TOL = 1e-10
-# |cos(x_k, x)|, a Gram error, a fit's backward error (_orthogonality_error, s_from_c, the fit)
+# ||Q1^T x|| / ||x||, a Gram error, a fit's backward error (orthocomplement_apply, s_from_c, the fit)
 ORTHO_TOL = 1e-8
 # an identity's error vs its scale (idempotent_check, benchmark_apply, and the CLI's --tol default)
 IDENTITY_TOL = 1e-10
@@ -161,7 +161,7 @@ class HouseholderQR:
 
 
 def _record(cls, **values):
-    """An instance of cls, a frozen dataclass without __post_init__, from all its fields."""
+    """A frozen dataclass cls (no __post_init__) from its fields and cached property values."""
     record = object.__new__(cls)  # one dict update: __init__ pays object.__setattr__ per field
     record.__dict__.update(values)
     return record

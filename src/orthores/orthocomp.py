@@ -3,7 +3,9 @@
 For x perpendicular to col(X), the action of the orthocomplement basis is
 U2^T x = x_(p) + X_(p) S x^(p), where A^(p) / A_(p) denote the first p and
 last n-p rows.  S = (T - X^(p))^-1 under the standard sign choice; a
-rank-one-update recursion covers the singular cases.
+rank-one-update recursion covers the singular cases.  orthocomplement_apply
+runs it at C = I on an orthonormal basis Q1 of col(X): X_(p) S = Q1_(p) K,
+K = (I - Q1^(p))^-1, which X's conditioning and column scale do not enter.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (ORTHO_TOL, SINGULAR_TOL, HouseholderQR, _check_finite, _every, _factor,
-                   _identity, _norm, _record, as_matrix, as_vector, dgesv, dgetrs, dtrtrs,
-                   householder_qr)
+                   _identity, _norm, _record, as_matrix, as_vector, dgesv, dgetrs, dormqr,
+                   dtrtrs, householder_qr)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -91,16 +94,28 @@ def _apply_s(S: np.ndarray, X: np.ndarray, x: np.ndarray, sel: RowSelection | No
 
 @dataclass(frozen=True)
 class SProjector:
-    """S with its rank, the norms ||x_k|| of the columns of the X it was built
-    from, ``design``: the projector's own column-major copy of that X, made
-    by the builder, on which orthocomplement_apply runs, and ``sel``: the row
-    selection it was built for (``None``: the first p rows)."""
+    """S with its rank, ``qr``: the factorization s_from_qr was given (``None`` from
+    s_from_c, which sets ``frame`` itself), and ``sel``: the row selection it was built
+    for (``None``: the first p rows)."""
 
     S: np.ndarray
     rank: int
-    col_norms: np.ndarray
-    design: np.ndarray
+    qr: HouseholderQR | None
     sel: RowSelection | None = None
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q1, K), on which orthocomplement_apply runs: Q1 = H_1 ... H_p [I; 0], an
+        orthonormal basis of col(X), column-major and in X's row order, and
+        K = (I - Q1^(p))^-1, so that X_(p) S = Q1_(p) K.  Built on the first apply and kept."""
+        n, p = self.qr.n, self.qr.p
+        rows = _rows(self.sel, p, n)
+        Q1 = dormqr("L", "N", self.qr.packed, self.qr.tau, np.eye(n, p, order="F"), 64 * p,
+                    overwrite_c=1)[0]
+        if not isinstance(rows, slice):  # qr's rows run in the selection's order: put back X's
+            Q1, by_sel = np.empty_like(Q1), Q1
+            Q1[self.sel._order(n)] = by_sel
+        return Q1, _solve(_identity(p) - Q1[rows], _identity(p), "I - Q1^(p)")[0]
 
     def _selection(self, sel: RowSelection | None) -> RowSelection | None:
         """The projector's own selection, for ``sel`` None or one that picks the same rows
@@ -186,18 +201,17 @@ def s_from_qr(qr: HouseholderQR, X, sel: RowSelection | None = None) -> SProject
     exactly when a reflector is zero; that, a zero LU pivot or a non-finite S
     raises SingularMatrixError.  No tolerance, so S(XD) = D^-1 S(X).
     """
-    X = as_matrix(X, owned=True)
-    n, p = X.shape
-    if qr.n != n or qr.p != p:
+    X = np.asarray(X, dtype=np.float64)  # only its selected rows are read, so X is not copied
+    if X.shape != (qr.n, qr.p):
         raise ValueError("factorization shape does not match X")
-    rows = _rows(sel, p, n)
+    rows = _rows(sel, qr.p, qr.n)
     # the rank formula: a zero reflector, kept for a to-positive or custom qr passed in; on the
     # standard path _factor's fix-up leaves none (test_singular_under_custom_policy pins this)
     if 0.0 in qr.tau.tolist():
         raise SingularMatrixError("T - X^(p) is singular; use s_recursion or sign_fix")
     head = X[rows]  # on a column-major X, take would first copy X to row-major
-    S = _solve(qr.T - head, _identity(p), "T - X^(p)")[0]
-    return _record(SProjector, S=S, rank=p, col_norms=qr.col_norms, design=X, sel=sel)
+    S = _solve(qr.T - head, _identity(qr.p), "T - X^(p)")[0]
+    return _record(SProjector, S=S, rank=qr.p, qr=qr, sel=sel)
 
 
 def s_recursion(Xortho, sel: RowSelection | None = None) -> SProjector:
@@ -214,16 +228,15 @@ def s_from_c(X, C, sel: RowSelection | None = None) -> SProjector:
     recursion whose step k adds a rank-one term iff its pivot is nonzero (equivalently
     reflector k is nonzero); otherwise S is padded with zeros and the rank stays put.
     """
-    X = as_matrix(X, owned=True)
+    X = as_matrix(X)
     n, p = X.shape
     C, Qt, lu, piv = _c_step(C, X)  # Q^T = (X C^-1)^T, and the LU of C^T
     err = float(np.max(np.abs(Qt @ Qt.T - _identity(p))))  # Q's Gram error
     if not err < ORTHO_TOL:  # a NaN fails too
         raise ValueError(f"columns are not orthonormal (Gram error {err:.3e})")
-    S, rank, _ = _recursion(Qt.T[_rows(sel, p, n)], greedy=False)
-    S = dgetrs(lu, piv, S, trans=1)[0]  # C^-1 S from the same LU
-    return SProjector(S=S, rank=rank, design=X, sel=sel,
-                      col_norms=np.hypot.reduce(C, axis=0))  # x_k = (X C^-1) C e_k
+    K, rank, _ = _recursion(Qt.T[_rows(sel, p, n)], greedy=False)  # the S of Q = X C^-1
+    S = dgetrs(lu, piv, K, trans=1)[0]  # C^-1 K from the same LU
+    return _record(SProjector, S=S, rank=rank, qr=None, sel=sel, frame=(Qt.T, K))
 
 
 def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
@@ -238,41 +251,26 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     return _recursion(Mt.T, greedy=True)[2]
 
 
-def _orthogonality_error(X, col_norms: list[float], v: np.ndarray, v_norm: float) -> float | None:
-    """orthocomplement_apply's orthogonality guard: None where every
-    |x_k^T v| <= ORTHO_TOL ||x_k|| v_norm, else the largest |x_k^T v| / ||x_k|| (a NaN fails).
-    Where max ||x_k|| v_norm reaches 2^1000, it runs on v 2^-e against v_norm 2^-e, e the
-    exponent of v_norm: exact, and no x_k^T v overflows, since v_norm >= ||v||."""
-    e = 0
-    if max(col_norms) * v_norm >= 2.0 ** 1000:
-        e = math.frexp(v_norm)[1]
-        v, v_norm = np.ldexp(v, -e), math.ldexp(v_norm, -e)
-    g, bound = X.T.dot(v), ORTHO_TOL * v_norm
-    if all(abs(d) / c <= bound for d, c in zip(g.tolist(), col_norms)):  # in Python floats
-        return None
-    return float(np.ldexp(np.max(np.abs(g) / col_norms), e))
-
-
 def orthocomplement_apply(sp: SProjector, X, x, sel: RowSelection | None = None) -> np.ndarray:
     """Evaluate x_(p) + X_(p) S x^(p) for x perpendicular to col(X), on the rows of
     ``sp.sel``; a ``sel`` that picks other rows raises ValueError.
 
-    The check and the formula run on ``sp.design``, the projector's own
-    column-major copy of X, so ``X`` is checked only for its shape."""
+    The guard and the formula run on ``sp.frame``, as x_(p) + Q1_(p) K x^(p): the
+    paper's formula at C = I on an orthonormal basis Q1 of col(X), whatever X's column
+    scale, so ``X`` is checked only for its shape."""
     x = as_vector(x)
-    design = sp.design
-    n, p = design.shape
+    sel = sp._selection(sel)
+    Q1, K = sp.frame
+    n, p = Q1.shape
     if np.asarray(X).shape != (n, p) or sp.S.shape[0] != p:
         raise ValueError("projector size does not match X")
     if x.size != n:
         raise ValueError(f"vector length {x.size} != n = {n}")
-    sel = sp._selection(sel)
     if not math.isfinite(x_norm := _norm(x)):  # an inf or NaN in x, or ||x|| past the float range
         _check_finite([x_norm], x, "x is finite, but its norm exceeds the float range")
-    # |x_k^T x| <= ORTHO_TOL ||x_k|| ||x|| for each column, so column scale cancels
-    if (err := _orthogonality_error(design, sp.col_norms.tolist(), x, x_norm)) is not None:
-        raise ValueError(f"x is not orthogonal to col(X) (|x_k^T x| / ||x_k|| {err:.3e})")
-    return _apply_s(sp.S, design, x, sel)[1]
+    if not (err := _norm(Q1.T.dot(x))) <= ORTHO_TOL * x_norm:  # each |q_k^T x| <= ||x||
+        raise ValueError(f"x is not orthogonal to col(X) (||Q1^T x|| / ||x|| {err / x_norm:.3e})")
+    return _apply_s(K, Q1, x, sel)[1]
 
 
 def rank_count(qr: HouseholderQR, X) -> int:

@@ -331,8 +331,8 @@ def benchmark_apply(n_grid: list[int], p: int, repeats: int) -> list[dict]:
     """Time the three routes to U2^T x and check they agree.
 
     Methods: "explicit" multiplies by the materialized basis (O(n^2)),
-    "reflect" applies the reflection sequence (O(np)), "closed" uses the
-    S-matrix formula (O(np)).  ``seconds`` is the median per-call time of
+    "reflect" applies the reflection sequence (O(np)), "closed" runs the
+    paper's formula on the frame (O(np)).  ``seconds`` is the median per-call time of
     ``repeats`` samples, each looping the call for at least MIN_SAMPLE_S
     after one untimed call.  Returns one row per (method, n).
     """

@@ -26,6 +26,7 @@ from orthores import (
     sign_fix,
 )
 from orthores import orthocomp
+from orthores.core import _dormqr
 from orthores.orthocomp import _apply_s
 
 
@@ -49,6 +50,11 @@ def listed_permutation(n, rows):
     """Selected rows first, the rest in increasing order, built as a list."""
     chosen = set(rows)
     return np.array(list(rows) + [i for i in range(n) if i not in chosen], dtype=np.intp)
+
+
+def qr_apply(qr, z):
+    """H_1 ... H_p z, by LAPACK."""
+    return _dormqr(qr, "N", z[:, None])[:, 0]
 
 
 def permuted_apply(S, X, x, rows):
@@ -281,8 +287,8 @@ class TestSRecursion:
             X[:, j] = 0.0
             X[rows[j], j] = 1.0 if column == "+e_k" else -1.0  # + makes step j singular
         rec, ref = s_recursion(X, sel), s_from_c(X, np.eye(p), sel)
-        for field in ("S", "col_norms", "design"):
-            assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
+        for got, want, name in zip((rec.S, *rec.frame), (ref.S, *ref.frame), ("S", "Q1", "K")):
+            assert np.array_equal(got, want), name
         assert rec.rank == ref.rank == p - (column == "+e_k")
 
 
@@ -478,7 +484,7 @@ class TestOrthocomplementApply:
         (np.eye(2), np.zeros(4), "projector size does not match X"),
     ])
     def test_wrong_sizes(self, S, x, message):
-        sp = SProjector(S=np.array(S), rank=len(S), col_norms=np.ones(len(S)), design=self.X)
+        sp = SProjector(S=np.array(S), rank=len(S), qr=householder_qr(self.X))
         with pytest.raises(ValueError, match=message):
             orthocomplement_apply(sp, self.X, x)
 
@@ -538,6 +544,37 @@ class TestOrthocomplementApply:
                 orthocomplement_apply(sp, X, scale * bad)
         np.testing.assert_allclose(out, scale * orthocomplement_apply(sp, X, x), rtol=1e-13)
 
+    @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("rows", [None, (3, 500, 700, 1200, 1500, 1999)],
+                             ids=["first p", "scattered"])
+    def test_matches_reflect_route_at_any_cond(self, cond, rows):
+        # x = Q [0; z] is orthogonal to the computed col(Q1); X_(p) S cancels as ||S|| grows
+        # with cond, and erred by up to 9e-12, 3e-9 and 2.5e-7 ||x|| at cond 1e8, 1e10 and 1e12
+        n, p = 2000, 6
+        rng = np.random.default_rng(int(np.log10(cond)))
+        U, V = (np.linalg.qr(rng.standard_normal(shape))[0] for shape in ((n, p), (p, p)))
+        X = (U * np.logspace(0, -np.log10(cond), p)) @ V.T
+        sel = RowSelection(rows) if rows else None
+        qr = qr_for_selection(X, sel)
+        sp = s_from_qr(qr, X, sel)
+        perm = sel.permutation(n) if sel else np.arange(n)
+        for _ in range(3):
+            z = np.concatenate([np.zeros(p), rng.standard_normal(n - p)])
+            x = np.empty(n)
+            x[perm] = qr_apply(qr, z)
+            err = np.max(np.abs(orthocomplement_apply(sp, X, x, sel) - apply_Qt(qr, x[perm])[p:]))
+            assert err <= 1e-14 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+    def test_rejects_a_vector_in_col_x_at_small_cosines(self, eps):
+        # x = e lies in col(X), but its cosine with every column is about eps, which a
+        # per-column guard accepted, returning ||W|| = 0.92 where the answer is 0
+        a, e, f = np.linalg.qr(np.random.default_rng(0).standard_normal((50, 3)))[0].T
+        X = np.column_stack([a + eps * e, a - eps * e, f])
+        sp = s_from_qr(householder_qr(X), X)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            orthocomplement_apply(sp, X, e)
+
     @pytest.mark.parametrize("entries,message", [
         ((np.inf, 0.0), "infs or NaNs"), ((-np.inf, 0.0), "infs or NaNs"),
         ((np.nan, 0.0), "infs or NaNs"),
@@ -560,14 +597,10 @@ class TestOrthocomplementApply:
         C = np.triu(rng.standard_normal((3, 3))) * [1e-4, 1.0, 1e4] + 5.0 * np.eye(3)
         X = Q @ C
         big = X * [1.0, 1e200, 1.0]  # ||x_2||^2 overflows; np.hypot.reduce does not
-        qr = householder_qr(X)
-        sp = s_from_qr(qr, X)
-        assert sp.col_norms is qr.col_norms
         norms = np.linalg.norm(X, axis=0)
         for obj, expected in [
-            (qr, norms), (householder_qr(X, TO_POSITIVE), norms), (sp, norms),
-            (householder_qr(big), norms * [1.0, 1e200, 1.0]), (s_from_c(X, C), norms),
-            (s_recursion(Q), np.linalg.norm(Q, axis=0)),
+            (householder_qr(X), norms), (householder_qr(X, TO_POSITIVE), norms),
+            (householder_qr(big), norms * [1.0, 1e200, 1.0]),
         ]:
             assert np.isfinite(obj.col_norms).all()
             np.testing.assert_allclose(obj.col_norms, expected, rtol=1e-13)
@@ -596,8 +629,9 @@ BUILDERS = {
 
 
 class TestOwnedDesign:
-    """Each S builder keeps its own column-major copy of its X, and
-    orthocomplement_apply runs on it, whatever the layout of the caller's X."""
+    """No builder keeps a copy of its X: orthocomplement_apply runs on the projector's
+    frame (Q1, K), built once from the factorization or the normalized X, whatever the
+    layout of the caller's X and whatever the caller later does to it."""
 
     @staticmethod
     def case(seed=21, n=60, p=4):
@@ -611,13 +645,30 @@ class TestOwnedDesign:
         XF = np.asfortranarray(X)
         by_c, by_f = build(X), build(XF)
         np.testing.assert_array_equal(by_c.S, by_f.S)
-        for sp in (by_c, by_f):
-            assert sp.design.flags.f_contiguous
-            np.testing.assert_array_equal(sp.design, X)
+        for got, want in zip(by_f.frame, by_c.frame):
+            np.testing.assert_array_equal(got, want)
         for _ in range(5):
             x = random_orthocomplement_vector(X, rng)
             np.testing.assert_array_equal(orthocomplement_apply(by_f, XF, x),
                                           orthocomplement_apply(by_c, X, x))
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("rows", [None, (5, 17, 40, 59)], ids=["first p", "scattered"])
+    def test_frame_is_an_orthonormal_basis(self, name, rows):
+        # Q1 orthonormal, and Q1 K = X S, so Q1_(p) K = X_(p) S: the paper's formula at C = I
+        _, X = self.case(seed=22)
+        if name != "s_recursion":  # which needs orthonormal columns
+            X = X * [1.0, 1e3, 1.0, 1e-3]
+        sel = RowSelection(rows) if rows else None
+        sp = {"s_from_qr": lambda: s_from_qr(qr_for_selection(X, sel), X, sel),
+              "s_from_c": lambda: s_from_c(X, householder_qr(X).T, sel),
+              "s_recursion": lambda: s_recursion(X, sel)}[name]()
+        Q1, K = sp.frame
+        assert Q1.shape == X.shape and K.shape == (4, 4)
+        assert Q1.flags.f_contiguous or name != "s_from_qr"
+        assert np.max(np.abs(Q1.T @ Q1 - np.eye(4))) <= 1e-14
+        perm = sel.permutation(60) if sel else np.arange(60)
+        np.testing.assert_allclose(Q1[perm] @ K, X[perm] @ sp.S, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("order", "CF")
     def test_matches_reflect_route(self, order):
@@ -638,8 +689,7 @@ class TestOwnedDesign:
         mine = np.array(X, order=order)
         sp = build(mine)
         before = orthocomplement_apply(sp, mine, x)
-        mine[:] = rng.standard_normal(mine.shape)  # the projector keeps its own copy
-        np.testing.assert_array_equal(sp.design, X)
+        mine[:] = rng.standard_normal(mine.shape)  # the frame does not read X
         np.testing.assert_array_equal(orthocomplement_apply(sp, mine, x), before)
 
     @pytest.mark.parametrize("shape", [(59, 4), (61, 4), (60, 3), (4, 60), (240,)])
@@ -650,19 +700,26 @@ class TestOwnedDesign:
             orthocomplement_apply(sp, np.zeros(shape), random_orthocomplement_vector(X, rng))
 
     @pytest.mark.parametrize("order", "CF")
-    def test_one_copy_of_the_design(self, order):
-        # the copy itself is 8 n p bytes; converting to C order first would add as much again
+    def test_no_copy_of_the_design(self, order, monkeypatch):
+        # s_from_qr reads p rows of X; the first apply builds Q1 (8 n p bytes) in place by
+        # one dormqr, and W (8 (n - p) bytes); a second apply reuses the frame
         n, p = 20000, 5
         X = np.array(np.random.default_rng(26).standard_normal((n, p)), order=order)
+        x = random_orthocomplement_vector(X, np.random.default_rng(27))
         qr = householder_qr(X)
         tracemalloc.start()
         try:
             sp = s_from_qr(qr, X)
-            peak = tracemalloc.get_traced_memory()[1]
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            W = orthocomplement_apply(sp, X, x)
+            applied = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sp.design.nbytes == 8 * n * p
-        assert peak <= 1.1 * 8 * n * p
+        assert built < 0.1 * 8 * n * p
+        assert applied <= 1.25 * 8 * n * p
+        monkeypatch.delattr(orthocomp, "dormqr")  # a second build of the frame would fail
+        assert orthocomplement_apply(sp, X, x).tobytes() == W.tobytes()
 
 
 class TestSelectionKernel:
@@ -712,8 +769,7 @@ class TestSelectionKernel:
 def projector_for(X, sel):
     """The first-p projector of X, built directly with ``sel`` as its selection."""
     qr = householder_qr(X)
-    return SProjector(S=s_from_qr(qr, X).S, rank=X.shape[1], col_norms=qr.col_norms,
-                      design=np.asfortranarray(X), sel=sel)
+    return SProjector(S=s_from_qr(qr, X).S, rank=X.shape[1], qr=qr, sel=sel)
 
 
 class TestOutOfRangeSelection:

@@ -529,9 +529,11 @@ class TestIndependentResiduals:
             warnings.simplefilter("error")
             assert sp.sel is sel and first.sel is None
             W = orthocomplement_apply(sp, X, x, sel)
+            WS = independent_residuals(fit, sp, sel).W  # on X and S, not on sp.frame
+            np.testing.assert_allclose(WS, W, rtol=0, atol=1e-14 * np.linalg.norm(x))
             for same in (None, RowSelection((1, 4, 7))):
                 assert orthocomplement_apply(sp, X, x, same).tobytes() == W.tobytes()
-                assert independent_residuals(fit, sp, same).W.tobytes() == W.tobytes()
+                assert independent_residuals(fit, sp, same).W.tobytes() == WS.tobytes()
             assert abs(W @ W - fit.rss) <= 1e-12 * fit.rss
             # None and an explicit 0..p-1 both pick the first p rows
             W1 = orthocomplement_apply(first, X, x)
@@ -544,7 +546,7 @@ class TestIndependentResiduals:
                 with pytest.raises(ValueError, match="built for another row selection"):
                     independent_residuals(fit, sp_, other)
             # a projector made directly has no selection of its own: the first p rows
-            direct = SProjector(S=first.S, rank=3, col_norms=first.col_norms, design=first.design)
+            direct = SProjector(S=first.S, rank=3, qr=first.qr)
             assert direct.sel is None
             assert orthocomplement_apply(direct, X, x).tobytes() == W1.tobytes()
 
@@ -919,6 +921,17 @@ class TestPowerOfTwoScaling:
         bad = 1e100 * (x0 + 1e-3 * np.linalg.norm(x0) * X0[:, 0] / np.linalg.norm(X0[:, 0]))
         with pytest.raises(ValueError, match="not orthogonal"):  # and still checked
             orthocomplement_apply(s_from_qr(householder_qr(X), X), X, bad)
+
+    @pytest.mark.parametrize("x_scale, v_scale", [(1e300, 1e-100), (1e-300, 1e100)])
+    def test_apply_keeps_the_norm_at_any_column_scale(self, x_scale, v_scale):
+        # S scales as 1 / x_scale: at the first pair S x^(p) underflowed (||W|| / ||x|| was
+        # 0.85, with no warning), at the second it overflowed to a W of NaNs
+        X0, _, x0 = self.design_near_the_limits()
+        X, x = x_scale * X0, v_scale * x0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = orthocomplement_apply(s_from_qr(qr_for_selection(X), X), X, x)
+        assert abs(np.linalg.norm(W) / np.linalg.norm(x) - 1.0) <= 1e-15
 
     def test_residual_past_the_largest_float_in_the_middle(self):
         # R_1 = Y_1 - mean is -3.35e308, but W, v and beta_star are floats
