@@ -91,6 +91,13 @@ def parse_policy(name: str, custom: str | None) -> SignPolicy:
         raise CliError(EXIT_INPUT, f"bad --signs value for custom policy: {exc}")
 
 
+def _parse_n_grid(spec: str) -> list[int]:
+    try:
+        return [int(s) for s in spec.split(",")]
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"bad --n-grid: {exc}")
+
+
 def tolerance(text: str) -> float:
     """A --tol value: finite and >= 0, since a NaN tolerance passes every check."""
     tol = float(text)  # argparse reports a ValueError as an invalid value
@@ -220,11 +227,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_check(args) -> None:
-    try:
-        n_grid = [int(s) for s in args.n_grid.split(",")]
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, f"bad --n-grid: {exc}")
-    if min(n_grid) < 2:
+    if min(n_grid := _parse_n_grid(args.n_grid)) < 2:
         raise CliError(EXIT_INPUT, f"--n-grid entries must be at least 2, got {min(n_grid)}")
     if args.trials < 1:
         raise CliError(EXIT_INPUT, f"--trials must be at least 1, got {args.trials}")
@@ -235,8 +238,7 @@ def cmd_check(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    n_grid = [int(s) for s in args.n_grid.split(",")]
-    emit(args, {"timings": benchmark_apply(n_grid, args.p, args.repeats)})
+    emit(args, {"timings": benchmark_apply(_parse_n_grid(args.n_grid), args.p, args.repeats)})
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged

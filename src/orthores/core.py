@@ -141,11 +141,9 @@ TO_POSITIVE = SignPolicy("to-positive")
 class HouseholderQR:
     """Implicit product H_1 ... H_p of p reflections with the triangular factor T.
 
-    H_k = I - tau[k] u_k u_k^T, where u_k is zero above its unit entry k and
-    ``packed[k + 1:, k]`` below it: LAPACK's ``dgeqrf`` layout, n x p in
-    Fortran order, whose entries on and above the diagonal are not read.
-    tau[k] = 0 marks an identity reflection.  col_norms[k] is ||x_k||, taken
-    as ||T e_k|| under every sign policy.
+    H_k = I - tau[k] u_k u_k^T, where u_k is zero above its unit entry k and ``packed[k + 1:, k]``
+    below it: LAPACK's ``dgeqrf`` layout, n x p in Fortran order, whose entries on and above the
+    diagonal are not read.  tau[k] = 0 marks an identity reflection.
     """
 
     n: int
@@ -153,7 +151,6 @@ class HouseholderQR:
     packed: np.ndarray
     tau: np.ndarray
     T: np.ndarray
-    col_norms: np.ndarray
 
     @property
     def nonzero_reflector_count(self) -> int:
@@ -217,7 +214,7 @@ def _factor(A: np.ndarray, p: int, X, signs=None
             ) -> tuple[HouseholderQR, np.ndarray, np.ndarray, list[float]]:
     """The QR of the first p columns of A, an n x m Fortran-order array (m >= p) that
     LAPACK overwrites, with standard signs or else d_k = signs[k] (then m = p); the array
-    itself; the tau of every column factored; and col_norms as Python floats.  X, for
+    itself; the tau of every column factored; and the column norms as Python floats.  X, for
     _check_finite, holds what those columns held, in any row order.
 
     Standard signs: up to DGEQRF_MAX_SIZE entries A is factored by ``dgeqrf``,
@@ -233,7 +230,7 @@ def _factor(A: np.ndarray, p: int, X, signs=None
     is I - 2 e_k e_k^T, which only negates row k, the entries of further
     columns included.
     Other signs: ``dgeqrfp`` per pivot column, ``dormqr`` on the block to its right.
-    Both end in one read of T, for col_norms (||T e_k||), the gate and the rank test.
+    Both end in one read of T, for the column norms (||T e_k||), the gate and the rank test.
     """
     n = A.shape[0]
     if signs is None:
@@ -266,9 +263,7 @@ def _factor(A: np.ndarray, p: int, X, signs=None
             _check_finite(norms, X)
             raise RankDeficiencyError(
                 f"rank deficiency detected at column {k + 1}: pivot tail norm {abs(col[k]):.3e}")
-    qr = _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=taus[:p], T=T,
-                 col_norms=np.array(norms))
-    return qr, a, taus, norms
+    return _record(HouseholderQR, n=n, p=p, packed=a[:, :p], tau=taus[:p], T=T), a, taus, norms
 
 
 def _dormqr(qr: HouseholderQR, trans: str, C: np.ndarray) -> np.ndarray:

@@ -108,6 +108,8 @@ class SProjector:
         """(Q1, K), on which orthocomplement_apply runs: Q1 = H_1 ... H_p [I; 0], an
         orthonormal basis of col(X), column-major and in X's row order, and
         K = (I - Q1^(p))^-1, so that X_(p) S = Q1_(p) K.  Built on the first apply and kept."""
+        if self.qr is None:  # only a projector built directly: s_from_c stores its frame
+            raise ValueError("projector has no factorization to build its frame from")
         n, p = self.qr.n, self.qr.p
         rows = _rows(self.sel, p, n)
         Q1 = dormqr("L", "N", self.qr.packed, self.qr.tau, np.eye(n, p, order="F"), 64 * p,
@@ -170,17 +172,16 @@ def _svd_rank(M: np.ndarray) -> int:
     return int(np.sum(sv > SINGULAR_TOL * sv[0]))
 
 
-def _c_step(C, X: np.ndarray, sel: RowSelection | None = None, head: bool = False) -> tuple:
-    """C, checked as a finite p x p matrix, with (B C^-1)^T and the LU factors and pivots
-    of C^T, for B = X or, with ``head``, its selected p rows.  C is checked before the
-    solve: an inf in C can leave dgesv's result finite."""
-    n, p = X.shape
+def _c_step(C, B: np.ndarray) -> tuple:
+    """C, checked as a finite p x p matrix for B's p columns, with (B C^-1)^T and C^T's LU
+    factors and pivots; C is checked first, since an inf in C can leave dgesv's result finite."""
+    p = B.shape[1]
     C = as_matrix(C)
     if C.shape != (p, p):
         raise ValueError(f"C must be {p}x{p}, got {C.shape}")
     if not _every(np.isfinite(C)):
         raise ValueError("array must not contain infs or NaNs")
-    return C, *_solve(C.T, (X[_rows(sel, p, n)] if head else X).T, "C")
+    return C, *_solve(C.T, B.T, "C")
 
 
 def qr_for_selection(X, sel: RowSelection | None = None) -> HouseholderQR:
@@ -247,7 +248,8 @@ def sign_fix(C, X, sel: RowSelection | None = None) -> np.ndarray:
     D C - X^(p) = (D - X^(p) C^-1) C is singular only when C is, which raises
     SingularMatrixError.
     """
-    Mt = _c_step(C, as_matrix(X), sel, head=True)[1]  # (X^(p) C^-1)^T
+    X = as_matrix(X)
+    Mt = _c_step(C, X[_rows(sel, X.shape[1], X.shape[0])])[1]  # (X^(p) C^-1)^T
     return _recursion(Mt.T, greedy=True)[2]
 
 

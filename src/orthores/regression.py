@@ -123,9 +123,9 @@ def _construct(X: np.ndarray, beta_hat: np.ndarray, R: np.ndarray, S: np.ndarray
 
 def independent_residuals(fit: RegressionFit, sp: SProjector,
                           sel: RowSelection | None = None) -> IndependentResiduals:
-    """W = R_(p) + X_(p) v with v = S R^(p), for a projector built from the same X, on the
-    rows of ``sp.sel``; a ``sel`` that picks other rows raises ValueError."""
-    if sp.S.shape[0] != fit.X.shape[1]:
+    """W = R_(p) + X_(p) v with v = S R^(p), for a projector of the same X, on the rows of
+    ``sp.sel``; a ``sel`` of other rows, or a projector of another n or p, raises ValueError."""
+    if (sp.frame[0].shape[0] if sp.qr is None else sp.qr.n, sp.S.shape[0]) != fit.X.shape:
         raise ValueError("projector size does not match the fit")
     return _construct(fit.X, fit.beta_hat, fit.residuals, sp.S, sp._selection(sel))
 

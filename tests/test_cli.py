@@ -646,6 +646,12 @@ class TestBench:
                             lambda sp, X, x: np.zeros(X.shape[0] - X.shape[1]))
         assert main(["bench", "--n-grid", "30,60", "--p", "2", "--repeats", "1"]) == 4
 
+    def test_grid_not_integers(self, capsys):
+        # the same parser as check's: the message names the option
+        assert main(["bench", "--n-grid", "30,x", "--p", "2", "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n-grid" in captured.err
+
 
 class TestOutput:
     def test_round_trip(self, tmp_path, capsys):

@@ -345,7 +345,7 @@ class TestSizeBound:
         assert at.T[2, 2] < 0.0 and above.T[2, 2] < 0.0
         assert np.array_equal(np.signbit(at.T.diagonal()), np.signbit(above.T.diagonal()))
         assert np.array_equal(at.tau == 0.0, above.tau == 0.0)
-        assert (np.abs(at.T - above.T) <= 1e-13 * at.col_norms).all()
+        assert (np.abs(at.T - above.T) <= 1e-13 * np.linalg.norm(X, axis=0)).all()
         assert (np.abs(above.packed[:-1] - at.packed)[np.tri(*X.shape, -1, dtype=bool)]
                 <= 1e-13).all()
         assert not above.packed[-1].any()
@@ -390,8 +390,8 @@ class TestLoopRange:
         assert qr.T[1, 1] > 0.0  # d_2 = -1 under both policies
         np.testing.assert_allclose(qr.T[1, 1], 4.330127018922193e200, rtol=1e-14)
         assert rank_count(qr, self.X_BIG) == 2
-        # col_norms are ||T e_k||, as on the standard path
-        assert np.all(np.abs(qr.col_norms - np.hypot.reduce(self.X_BIG, axis=0))
+        # ||T e_k|| = ||x_k||, as on the standard path
+        assert np.all(np.abs(np.hypot.reduce(qr.T, axis=0) - np.hypot.reduce(self.X_BIG, axis=0))
                       <= 1e-14 * np.hypot.reduce(self.X_BIG, axis=0))
         scale = np.hypot.reduce(self.X_BIG.ravel())  # ||X||, which np.linalg.norm overflows
         assert np.max(np.abs(reconstruct(qr) - self.X_BIG)) <= 1e-13 * scale

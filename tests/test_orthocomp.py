@@ -78,7 +78,7 @@ class TestQrForSelection:
         X[0, 0] = -0.0
         qr = qr_for_selection(X, RowSelection(rows))
         ref = householder_qr(X[listed_permutation(n, rows)])
-        for field in ("packed", "tau", "T", "col_norms"):  # bit for bit, zero signs included
+        for field in ("packed", "tau", "T"):  # bit for bit, zero signs included
             got, want = getattr(qr, field), getattr(ref, field)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
 
@@ -488,6 +488,14 @@ class TestOrthocomplementApply:
         with pytest.raises(ValueError, match=message):
             orthocomplement_apply(sp, self.X, x)
 
+    def test_projector_without_a_factorization(self):
+        # built directly with qr=None, and without the frame s_from_c stores: a typed error
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        sp = SProjector(S=s_from_qr(householder_qr(X), X).S, rank=3, qr=None)
+        x = random_orthocomplement_vector(X, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="no factorization to build its frame from"):
+            orthocomplement_apply(sp, X, x)
+
     @pytest.mark.parametrize("n,p", [(5, 1), (20, 2), (100, 5)])
     def test_oracle_equivalence_and_norm(self, n, p):
         rng = np.random.default_rng(n * 10 + p)
@@ -592,18 +600,22 @@ class TestOrthocomplementApply:
                 orthocomplement_apply(sp, X, x)
 
     def test_builders_record_column_norms(self):
+        # T's columns carry ||x_k||, with no overflow where ||x_k||^2 would
         rng = np.random.default_rng(13)
         Q = np.linalg.qr(rng.standard_normal((15, 3)))[0]
         C = np.triu(rng.standard_normal((3, 3))) * [1e-4, 1.0, 1e4] + 5.0 * np.eye(3)
         X = Q @ C
         big = X * [1.0, 1e200, 1.0]  # ||x_2||^2 overflows; np.hypot.reduce does not
         norms = np.linalg.norm(X, axis=0)
-        for obj, expected in [
-            (householder_qr(X), norms), (householder_qr(X, TO_POSITIVE), norms),
-            (householder_qr(big), norms * [1.0, 1e200, 1.0]),
-        ]:
-            assert np.isfinite(obj.col_norms).all()
-            np.testing.assert_allclose(obj.col_norms, expected, rtol=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obj, expected in [
+                (householder_qr(X), norms), (householder_qr(X, TO_POSITIVE), norms),
+                (householder_qr(big), norms * [1.0, 1e200, 1.0]),
+            ]:
+                got = np.hypot.reduce(obj.T, axis=0)
+                assert np.isfinite(got).all()
+                np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_arbitrary_row_selection(self):
         rng = np.random.default_rng(77)
@@ -876,6 +888,6 @@ class TestRankCount:
         # one zero reflector, but T - X^(1) = [[-3]] has rank 1
         X = np.ones((4, 1))
         qr = HouseholderQR(n=4, p=1, packed=np.zeros((4, 1), order="F"), tau=np.zeros(1),
-                           T=np.array([[-2.0]]), col_norms=np.full(1, 2.0))
+                           T=np.array([[-2.0]]))
         with pytest.raises(ArithmeticError, match="rank formula violated"):
             rank_count(qr, X)

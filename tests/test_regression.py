@@ -171,19 +171,19 @@ class TestBorderedFit:
         Y = 10.0 ** log_c * rng.standard_normal(p + extra)
         fit = fit_least_squares(X, Y)
         qr, beta, R = self.two_pass(X, Y)
+        norms = np.linalg.norm(X, axis=0)
         if X.size > core.DGEQRF_MAX_SIZE:
-            for field in ("T", "packed", "tau", "col_norms"):
+            for field in ("T", "packed", "tau"):
                 assert np.array_equal(getattr(fit.qr, field), getattr(qr, field)), field
         else:  # the same reflections, each entry within 1e-13 (about 450 ulps) of its scale
             assert np.array_equal(np.signbit(fit.qr.T.diagonal()), np.signbit(qr.T.diagonal()))
             assert np.array_equal(fit.qr.tau == 0.0, qr.tau == 0.0)
-            assert (np.abs(fit.qr.T - qr.T) <= 1e-13 * qr.col_norms).all()
+            assert (np.abs(fit.qr.T - qr.T) <= 1e-13 * norms).all()
             below = np.tri(*X.shape, -1, dtype=bool)  # the reflectors; on and above is not read
             assert (np.abs(fit.qr.packed - qr.packed)[below] <= 1e-13).all()  # |u_k| <= 1
             assert (np.abs(fit.qr.tau - qr.tau) <= 1e-13).all()  # tau_k in [1, 2]
-            assert (np.abs(fit.qr.col_norms - qr.col_norms) <= 1e-13 * qr.col_norms).all()
         norm_y = np.linalg.norm(Y)
-        assert (np.abs(fit.beta_hat - beta) * qr.col_norms <= 1e-13 * norm_y).all()
+        assert (np.abs(fit.beta_hat - beta) * norms <= 1e-13 * norm_y).all()
         assert (np.abs(fit.residuals - R) <= 1e-13 * norm_y).all()
 
     def test_one_factorization_and_one_dormqr(self, monkeypatch):
@@ -459,6 +459,34 @@ class TestIndependentResiduals:
         fit = fit_least_squares(X, [0.0, 1.0, 0.0, 2.0])
         sp = s_from_qr(householder_qr(X[:, :1]), X[:, :1])
         with pytest.raises(ValueError, match="projector size does not match the fit"):
+            independent_residuals(fit, sp)
+
+    @pytest.mark.parametrize("build", [lambda X: s_from_qr(householder_qr(X), X),
+                                       lambda X: s_from_c(X, householder_qr(X).T)],
+                             ids=["s_from_qr", "s_from_c"])
+    def test_projector_of_another_n(self, build):
+        # a projector of the first 12 rows has the fit's p: its W on a 30-row fit breaks
+        # W'W = R'R, so the row counts are compared too
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 3))
+        fit = fit_least_squares(X, rng.standard_normal(30))
+        with pytest.raises(ValueError, match="projector size does not match the fit"):
+            independent_residuals(fit, build(X[:12]))
+
+    def test_size_check_builds_no_frame(self):
+        # n is read off the factorization: a frame costs a dormqr, and nothing here applies it
+        X = np.random.default_rng(6).standard_normal((30, 3))
+        fit = fit_least_squares(X, np.random.default_rng(7).standard_normal(30))
+        sp = s_from_qr(fit.qr, X)
+        independent_residuals(fit, sp)
+        assert "frame" not in vars(sp)
+
+    def test_projector_without_a_factorization(self):
+        # built directly with qr=None, and without the frame s_from_c stores: a typed error
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        fit = fit_least_squares(X, np.random.default_rng(1).standard_normal(10))
+        sp = SProjector(S=s_from_qr(fit.qr, X).S, rank=3, qr=None)
+        with pytest.raises(ValueError, match="no factorization to build its frame from"):
             independent_residuals(fit, sp)
 
     def test_matches_student_minus(self):
@@ -877,7 +905,7 @@ class TestPowerOfTwoScaling:
         for name, value in expected.items():
             assert np.asarray(getattr(got, name)).tobytes() == np.asarray(value).tobytes(), name
         if call.startswith("fit"):
-            for field in ("packed", "tau", "T", "col_norms"):
+            for field in ("packed", "tau", "T"):
                 assert getattr(got.qr, field).tobytes() == getattr(base.qr, field).tobytes()
 
     def test_rss_past_the_float_range_is_named(self):
